@@ -19,7 +19,7 @@ Subpackages
 ``repro.experiments``  one harness per paper table/figure (+ the
                        ``defenses`` policy-comparison sweep)
 ``repro.fleet``        declarative multi-server scenarios, open-loop
-                       serving, per-server sharding (``repro.fleet.shard``),
+                       serving, per-server sweep cells (``repro.fleet.sweep``),
                        elastic lifecycle: churn, autoscaling, rebalancing
                        (``repro.fleet.elastic``)
 ``repro.snap``         checkpoint/restore by deterministic re-execution

@@ -13,7 +13,7 @@ The imperative incantation every harness used to hand-roll --
   boots every accepted VM into a running :class:`~repro.fleet.scenario.Fleet`.
 
 Because the spec is pure data, the exact same scenario can run
-in-process (``spec.boot().run()``), be sharded into one runner cell per
+in-process (``spec.boot().run()``), fan out as one runner cell per
 server (``repro.fleet.sweep``), or be rebuilt bit-identically inside a
 worker process -- same seed, same placement, same trace digests.
 """
@@ -133,7 +133,10 @@ class ScenarioSpec:
 
     ``servers`` is one :class:`SystemConfig` per simulated server;
     servers are independent machines (no cross-server traffic), which
-    is what makes a scenario shardable into one runner cell per server.
+    is what lets a scenario fan out as one runner cell per server
+    (:func:`~repro.fleet.scenario.boot_server` +
+    :func:`~repro.fleet.scenario.run_server`, as ``repro.fleet.sweep``
+    does).
     """
 
     servers: Tuple[SystemConfig, ...]

@@ -92,6 +92,10 @@ class KvmVm:
         self.ports: Dict[int, Any] = {}
         self.threads: Dict[int, HostThread] = {}
         self.finished_vcpus = 0
+        #: set by the planner as it starts destroying the realm; from
+        #: then on device and timer interrupts are dropped, never
+        #: injected into RECs that may already be gone
+        self.torn_down = False
         self.done_event = Event(f"vm-done:{vm.name}")
         self.run_errors: List[RmiResult] = []
         #: bounded-retry policy for async run-call waits (gapped mode):
@@ -143,7 +147,13 @@ class KvmVm:
     # ------------------------------------------------------------------
 
     def inject_virq(self, vcpu_idx: int, intid: int, payload: Any = None) -> None:
-        """Queue a virtual interrupt for a guest vCPU and kick it."""
+        """Queue a virtual interrupt for a guest vCPU and kick it.
+
+        Every device, timer and vIPI injects through here, so a
+        torn-down VM's devices stop injecting at this one point.
+        """
+        if self.torn_down:
+            return
         self._injections[vcpu_idx].append((intid, payload))
         self.tracer.count("host_virq_inject")
         if self.mode == VmMode.GAPPED:

@@ -436,6 +436,7 @@ class CorePlanner:
         """Destroy a finished CVM and reclaim its cores (thread body)."""
         vm = kvm.vm
         realm_id = kvm.realm_id
+        kvm.torn_down = True
         cores = self.allocations.get(vm.name, [])
         inbox = self.engine.dedicated[cores[0]].inbox
         for idx in range(vm.n_vcpus):

@@ -25,19 +25,16 @@ Runtime pass:
   Sanitizer failures exit with code 3 (vs 1 for static findings).
 
 Support: inline pragmas and the expiring grandfather baseline
-(:mod:`repro.lint.suppress`), SARIF 2.1.0 output
-(:mod:`repro.lint.sarif`), and the content-hash incremental cache
-(:mod:`repro.lint.cache`) that makes warm re-runs near-instant.
+(:mod:`repro.lint.suppress`) and SARIF 2.1.0 output
+(:mod:`repro.lint.sarif`).
 
 Run everything with ``python -m repro.lint src benchmarks``.
 """
 
-from .cache import LintCache, cache_salt
 from .contract import LintContract, load_contract
 from .domains import DomainContract
 from .findings import Finding, RULES, Rule, fingerprint
-from .analyze import STATIC_PASSES, analyze_files
-from .cli import collect_files, lint_paths, main, rules_markdown
+from .cli import STATIC_PASSES, collect_files, lint_paths, main, rules_markdown
 from .reporter import render_json, render_text
 from .sarif import render_sarif, validate_sarif
 from .suppress import Baseline, BaselineEntry, apply_baseline, load_baseline
@@ -52,7 +49,6 @@ __all__ = [
     "load_contract",
     "lint_paths",
     "collect_files",
-    "analyze_files",
     "STATIC_PASSES",
     "main",
     "rules_markdown",
@@ -60,8 +56,6 @@ __all__ = [
     "render_json",
     "render_sarif",
     "validate_sarif",
-    "LintCache",
-    "cache_salt",
     "Baseline",
     "BaselineEntry",
     "apply_baseline",

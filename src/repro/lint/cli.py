@@ -23,12 +23,10 @@ Exit codes (CI keys off these; keep them stable):
 (slower: it executes a small experiment several times, including in
 subprocesses with different ``PYTHONHASHSEED`` values).
 
-``--format sarif`` emits SARIF 2.1.0 for code-scanning upload;
-``--jobs N`` fans per-file analysis over a spawn process pool; the
-content-hash cache (``.repro-lint-cache.json`` next to
-``pyproject.toml``; disable with ``--no-cache``) makes warm re-runs
-near-instant.  Grandfathered findings live in ``lint-baseline.toml``
-(see :mod:`repro.lint.suppress`); ``--explain-baseline`` prints the
+``--format sarif`` emits SARIF 2.1.0 for code-scanning upload.
+Every run parses and checks every file afresh.  Grandfathered
+findings live in ``lint-baseline.toml`` (see
+:mod:`repro.lint.suppress`); ``--explain-baseline`` prints the
 fingerprint of every current finding so entries can be authored.
 """
 
@@ -37,16 +35,25 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from .analyze import STATIC_PASSES, analyze_files
-from .cache import DEFAULT_CACHE_NAME, LintCache, cache_salt
-from .contract import LintContract, find_pyproject, load_contract
-from .findings import Finding, RULES, fingerprint
+from .contract import LintContract, load_contract
+from .determinism import check_determinism
+from .findings import Finding, RULES, SourceFile, fingerprint, load_source
+from .layering import check_layering
+from .obs import check_obs
 from .reporter import render_json, render_text
 from .sarif import render_sarif
-from .secflow import check_reexports
-from .suppress import apply_baseline, find_baseline, load_baseline
+from .secflow import check_reexports, check_secflow, extract_facts
+from .seeds import check_seeds
+from .snapcov import check_snapcov
+from .suppress import (
+    apply_baseline,
+    find_baseline,
+    load_baseline,
+    pragma_findings,
+)
+from .units import check_units
 
 __all__ = [
     "main",
@@ -62,6 +69,18 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_SANITIZER = 3
+
+STATIC_PASSES: Dict[
+    str, Callable[[SourceFile, LintContract], List[Finding]]
+] = {
+    "determinism": check_determinism,
+    "layering": check_layering,
+    "units": check_units,
+    "obs": check_obs,
+    "secflow": check_secflow,
+    "seeds": check_seeds,
+    "snapcov": check_snapcov,
+}
 
 
 def collect_files(paths: Iterable[Path]) -> List[Path]:
@@ -82,29 +101,40 @@ def lint_paths(
     contract: Optional[LintContract] = None,
     passes: Optional[Sequence[str]] = None,
     rules: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional[LintCache] = None,
 ) -> List[Finding]:
     """Run the selected static passes over ``paths``; returns findings.
 
     Includes the per-file passes, pragma hygiene (SUP001) and — when
     the ``secflow`` pass is selected — the tree-level re-export pass
-    (SEC004), which sees the whole file set at once.  Baseline
-    application is the CLI's job, not this function's: library callers
-    get the raw findings.
+    (SEC004), which sees the whole file set at once through each
+    file's :func:`~repro.lint.secflow.extract_facts`.  A syntax error
+    is a PARSE finding, not a crash.  Baseline application is the
+    CLI's job, not this function's: library callers get the raw
+    findings.
     """
     if contract is None:
         contract = load_contract(Path(paths[0]) if paths else None)
     selected = list(passes) if passes else list(STATIC_PASSES)
-    files = collect_files([Path(p) for p in paths])
-    results = analyze_files(
-        files, contract, selected, jobs=jobs, cache=cache
-    )
     findings: List[Finding] = []
-    for result in results:
-        findings.extend(result.findings)
+    facts: List[Dict] = []
+    for path in collect_files([Path(p) for p in paths]):
+        try:
+            source = load_source(path)
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    str(path),
+                    exc.lineno or 0,
+                    "PARSE",
+                    f"syntax error: {exc.msg}",
+                )
+            )
+            continue
+        for name in selected:
+            findings.extend(STATIC_PASSES[name](source, contract))
+        findings.extend(pragma_findings(source))
+        facts.append(extract_facts(source))
     if "secflow" in selected:
-        facts = [r.facts for r in results if r.facts is not None]
         findings.extend(check_reexports(facts, contract))
     if rules:
         wanted = set(rules)
@@ -197,23 +227,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="print the rule registry (text/json/markdown) and exit",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="analyse files in N spawn-pool processes (default 1: inline)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-hash incremental cache",
-    )
-    parser.add_argument(
-        "--cache-file",
-        default=None,
-        help=f"cache location (default: {DEFAULT_CACHE_NAME} next to "
-        "pyproject.toml)",
-    )
-    parser.add_argument(
         "--baseline",
         default=None,
         help="baseline file (default: lint-baseline.toml found upward "
@@ -251,9 +264,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.jobs < 1:
-        print("repro.lint: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
 
     paths = [Path(p) for p in (args.paths or ["src", "benchmarks"])]
     missing = [p for p in paths if not p.exists()]
@@ -275,31 +285,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_USAGE
     rules = args.rules.split(",") if args.rules else None
     contract = load_contract(paths[0])
-
-    cache: Optional[LintCache] = None
-    if not args.no_cache:
-        if args.cache_file:
-            cache_path: Optional[Path] = Path(args.cache_file)
-        else:
-            pyproject = find_pyproject(paths[0])
-            cache_path = (
-                pyproject.parent / DEFAULT_CACHE_NAME if pyproject else None
-            )
-        if cache_path is not None:
-            salt = cache_salt(contract, passes or list(STATIC_PASSES))
-            cache = LintCache(cache_path, salt)
-
     findings = lint_paths(
-        paths,
-        contract=contract,
-        passes=passes,
-        rules=rules,
-        jobs=args.jobs,
-        cache=cache,
+        paths, contract=contract, passes=passes, rules=rules
     )
-    if cache is not None:
-        cache.save()
-        print(f"repro.lint: {cache.stats()}", file=sys.stderr)
 
     if args.explain_baseline:
         for finding in sorted(findings):

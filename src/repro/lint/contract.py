@@ -9,8 +9,6 @@ trees in the linter's own tests).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -116,27 +114,6 @@ class LintContract:
     rng_module: str = DEFAULT_RNG_MODULE
     #: the cross-domain isolation tables ([tool.repro.lint.domains])
     domains: DomainContract = field(default_factory=DomainContract)
-
-    def digest(self) -> str:
-        """Stable hash of the whole contract (incremental-cache salt:
-        a contract edit must invalidate every cached file verdict)."""
-        payload = {
-            "layers": self.layers,
-            "combos": [
-                [c.modules, c.allowed_in] for c in self.forbidden_combos
-            ],
-            "rng_module": self.rng_module,
-            "domains": {
-                "modules": self.domains.modules,
-                "structures": self.domains.structures,
-                "crossing_surfaces": self.domains.crossing_surfaces,
-                "crossing_roots": self.domains.crossing_roots,
-                "streams": self.domains.streams,
-                "seed_roots": self.domains.seed_roots,
-            },
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def subsystem_of(self, module: str) -> Optional[str]:
         """Longest contract key that is a dotted prefix of ``module``.

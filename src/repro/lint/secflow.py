@@ -407,8 +407,7 @@ def check_secflow(
 
 
 def extract_facts(source: SourceFile) -> Dict[str, object]:
-    """Per-file facts for the tree-level passes (JSON-serialisable,
-    cached alongside findings so warm runs skip the parse entirely).
+    """Per-file facts for the tree-level passes (plain JSON-style data).
 
     * ``module`` / ``is_package``
     * ``defined`` — names defined at module top level

@@ -24,7 +24,7 @@ from .capture import (
     capture_system,
     diff_captures,
 )
-from .fields import SNAP_FIELDS, CaptureSpec, registry_digest
+from .fields import SNAP_FIELDS, CaptureSpec
 from .fork import ForkError, can_fork, fork_map
 from .format import (
     SNAP_FORMAT_VERSION,
@@ -49,7 +49,6 @@ __all__ = [
     "capture_system",
     "capture_digest",
     "diff_captures",
-    "registry_digest",
     "snapshot",
     "restore",
     "can_fork",

@@ -19,11 +19,10 @@ from rotting silently as later PRs touch the engine.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
-__all__ = ["CaptureSpec", "SNAP_FIELDS", "registry_digest"]
+__all__ = ["CaptureSpec", "SNAP_FIELDS"]
 
 # Shared exclusion reasons (kept as constants so entries stay terse and
 # reviews can grep for each policy).
@@ -347,6 +346,7 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
         "ports",
         "done_event",
         "finished_vcpus",
+        "torn_down",
         "run_errors",
         "run_retries",
         "run_self_claims",
@@ -531,16 +531,3 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
         _attached="attach-point bookkeeping for detach_all; not state",
     ),
 }
-
-
-def registry_digest() -> str:
-    """Stable hash of the whole registry (salts the lint cache, so a
-    coverage edit re-lints every registered class's file)."""
-    parts = []
-    for key in sorted(SNAP_FIELDS):
-        spec = SNAP_FIELDS[key]
-        parts.append(key)
-        parts.extend(spec.fields)
-        parts.extend(f"{k}={v}" for k, v in sorted(spec.exclude.items()))
-    payload = "\n".join(parts).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:16]

@@ -14,6 +14,7 @@ from repro.fleet.elastic import (
     default_churn_tenant,
     elastic_cells,
     run_elastic,
+    run_elastic_case,
 )
 from repro.fleet.spec import (
     ScenarioSpec,
@@ -21,6 +22,7 @@ from repro.fleet.spec import (
     resolve_admission,
     uniform_rack,
 )
+from repro.guest.vcpu import VTIMER_VIRQ
 from repro.sim.clock import ms
 from repro.sim.engine import SimulationError
 
@@ -256,6 +258,32 @@ class TestRunElastic:
         assert outcome.counts["resize_down"] >= 1
         assert outcome.audit_problems == []
         assert outcome.conservation_ok
+
+
+class TestEvictInterruptRace:
+    """An interrupt for an evicted tenant can still be in flight when
+    its realm is destroyed; the torn-down VM must drop it, not crash."""
+
+    def test_evicted_vm_drops_late_injections(self):
+        spec = rack([redis_tenant("a", 2, 2000.0), redis_tenant("b", 2, 2000.0)])
+        controller = FleetController(spec)
+        controller.start_serving(spec.duration_ns)
+        controller.advance_to(ms(5))
+        kvm = controller.booted["b"].kvm
+        controller.evict("b", drain_ns=ms(2), reason="test")
+        assert kvm.torn_down
+        kvm.inject_virq(0, VTIMER_VIRQ)  # realm is gone: no RealmError
+        assert kvm._injections[0] == []
+
+    @pytest.mark.parametrize("seed", [77, 1009])
+    def test_full_case_completes(self, seed):
+        # both seeds used to raise RealmError mid-evict: an SR-IOV
+        # interrupt was injected after planner.evict_cvm destroyed
+        # the tenant's realm
+        result = run_elastic_case("full", duration_ns=ms(120), seed=seed)
+        assert result["conservation_ok"]
+        assert result["audit_problems"] == []
+        assert result["counts"]["evict"] > 0
 
 
 class TestAdmissionEnum:

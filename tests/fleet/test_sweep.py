@@ -62,6 +62,26 @@ class TestJobsDeterminism:
         assert summary["dropped"] == 0
 
 
+class TestServerSlices:
+    def test_per_server_slices_equal_the_whole_rack(self):
+        # the sweep's cells and the serve benchmarks run one server of a
+        # rack each; concatenated in server order, those slices must be
+        # the rows of serving the whole rack in one process
+        from repro.fleet import boot_scenario, boot_server, place, run_server
+
+        spec = consolidation_scenario(
+            level=1, mode="gapped", n_servers=2, duration_ns=ms(40)
+        )
+        placement = place(spec)
+        sliced = []
+        for index in range(len(spec.servers)):
+            server = boot_server(spec, placement, index)
+            sliced.extend(run_server(server, spec))
+        whole = boot_scenario(spec).run().tenants
+        assert [t.server for t in sliced] == [0, 1]
+        assert canonical_digest(sliced) == canonical_digest(whole)
+
+
 class TestScenarioShape:
     def test_spread_placement_levels_the_rack(self):
         from repro.fleet import place
