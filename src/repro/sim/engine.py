@@ -45,6 +45,19 @@ Hot-path notes (every experiment is bounded by this loop):
   does -- so the dispatch stream (and therefore every digest) is
   identical to arming N timers and cancelling the losers, without the
   loser churn or the compaction pressure.
+* An ``AnyOf`` that races events is armed without closures and settles
+  without leaving a reference cycle.  Its delay sources are queued as
+  the same hop timers (``value`` points back at the race object), so a
+  winning delay goes through the elided-race hop, which first
+  unsubscribes the losers.  The dominant shape, ``[Delay, Event]``
+  (every interruptible core segment), is one timer plus one
+  :class:`_EventRace` waiter; other shapes get a :class:`_Race`.
+  Settling breaks every link back to the race, so reference counting
+  frees it at once.  This matters beyond allocation cost: a race per
+  segment left as a cycle is tens of thousands of cycles per run, and
+  each full (gen-2) collection they trigger walks every live object --
+  every stored execution span included -- so collector time would grow
+  with the run's length.
 * The common resume path (``Delay``/spawn) carries the process on the
   timer itself; no per-event closure is allocated.  Timer allocation
   and queue inserts are inlined at the few scheduling sites rather
@@ -202,10 +215,12 @@ class _Timer:
     for now-queue entries, in deque append order), not here.  ``proc``
     is the closure-free fast path: when set, the loop resumes that
     process directly (sending ``value``) instead of calling
-    ``callback``.  ``anyof`` marks an elided all-delay :class:`AnyOf`
-    winner: it holds the pre-built :class:`Wakeup`, and dispatch
-    re-queues the resume (a fresh sequence number at the fire time)
-    exactly as the unelided settle path would.
+    ``callback``.  ``anyof`` marks an :class:`AnyOf` delay source
+    queued as a hop timer: it holds the pre-built :class:`Wakeup`, and
+    dispatch re-queues the resume (a fresh sequence number at the fire
+    time) exactly as a settle callback's resume would.  On such a timer
+    ``value`` is the event race it belongs to (``None`` for an
+    all-delay race) until the hop runs.
     """
 
     __slots__ = (
@@ -272,6 +287,75 @@ _HeapEntry = Tuple[int, int, int, _Timer]
 #: that allocate one timer per event
 _new_timer = _Timer.__new__
 _new_wakeup = Wakeup.__new__
+
+
+class _EventRace:
+    """An armed ``AnyOf([Delay, Event])``, subscribed as the event's waiter.
+
+    The delay side is one elided-race timer (``anyof`` = the pre-built
+    ``Wakeup(0, delay)``, ``value`` = this race).  If the event fires
+    first, calling the race cancels that timer and resumes the process
+    with ``Wakeup(1, event, value)``; if the timer fires first, the
+    elided-race hop calls :meth:`drop` to unsubscribe.  Either way the
+    timer -> race link is the only one back, and settling breaks it, so
+    a settled race is freed by reference counting alone.
+    """
+
+    __slots__ = ("sim", "proc", "event", "timer")
+
+    def __call__(self, value: Any) -> None:
+        timer = self.timer
+        timer.value = None
+        timer.cancel()
+        self.sim._schedule_resume(self.proc, Wakeup(1, self.event, value))
+
+    def drop(self, timer: _Timer) -> None:
+        self.event._waiters.remove(self)
+
+
+_new_event_race = _EventRace.__new__
+
+
+class _Race:
+    """An armed event-racing :class:`AnyOf` of any other shape.
+
+    Delay sources are elided-race timers pointing back here (``value``);
+    event and process sources subscribe ``partial(race.settle, index,
+    source)``.  The first source to fire settles the race: losing timers
+    are cancelled, losing subscriptions removed, and the race drops its
+    ``timers``/``subscriptions`` lists -- the references that made it a
+    cycle -- before the process resumes.
+    """
+
+    __slots__ = ("sim", "proc", "timers", "subscriptions")
+
+    def __init__(self, sim: "Simulator", proc: Process):
+        self.sim = sim
+        self.proc: Optional[Process] = proc
+        self.timers: Optional[List[_Timer]] = []
+        self.subscriptions: Optional[List[Tuple[Event, Callable]]] = []
+
+    def settle(self, index: int, source: Any, value: Any = None) -> None:
+        """An event or process source won (a no-op once settled: the
+        same event may be listed twice)."""
+        proc = self.proc
+        if proc is None:
+            return
+        self.drop(None)
+        # resume via the event loop rather than synchronously: a
+        # process looping on already-fired sources must not recurse
+        self.sim._schedule_resume(proc, Wakeup(index, source, value))
+
+    def drop(self, winner: Optional[_Timer]) -> None:
+        """Disarm every source but ``winner`` (the delay timer being
+        dispatched by the elided-race hop, which reuses it)."""
+        self.proc = None
+        for timer in self.timers:
+            if timer is not winner:
+                timer.cancel()
+        for event, callback in self.subscriptions:
+            event.remove_waiter(callback)
+        self.timers = self.subscriptions = None
 
 
 class Simulator:
@@ -570,13 +654,7 @@ class Simulator:
                 (when, 0 if self._fifo else self._tie_key(seq), seq, timer)
             )
         elif kind is AnyOf:
-            sources = yielded.sources
-            for source in sources:
-                if type(source) is not Delay:
-                    self._arm_any_of(proc, yielded)
-                    break
-            else:
-                self._arm_delay_race(proc, sources)
+            self._arm_any_of(proc, yielded.sources)
         else:
             self._arm(proc, yielded)
 
@@ -602,7 +680,7 @@ class Simulator:
         if kind is Delay:
             self._schedule_step(yielded.ns, proc)
         elif kind is AnyOf:
-            self._arm_any_of(proc, yielded)
+            self._arm_any_of(proc, yielded.sources)
         elif kind is Event:
             yielded.add_waiter(partial(self._step, proc))
         elif kind is Process:
@@ -612,7 +690,7 @@ class Simulator:
         elif isinstance(yielded, Delay):
             self._schedule_step(yielded.ns, proc)
         elif isinstance(yielded, AnyOf):
-            self._arm_any_of(proc, yielded)
+            self._arm_any_of(proc, yielded.sources)
         elif isinstance(yielded, Event):
             yielded.add_waiter(partial(self._step, proc))
         elif isinstance(yielded, Process):
@@ -634,47 +712,50 @@ class Simulator:
         else:
             self._step(proc, child.result, None)
 
-    def _arm_any_of(self, proc: Process, any_of: AnyOf) -> None:
-        sources = any_of.sources
+    def _arm_any_of(self, proc: Process, sources: List[Any]) -> None:
+        """Arm an :class:`AnyOf` by shape: all delays are elided
+        (:meth:`_arm_delay_race`), ``[Delay, pending Event]`` -- every
+        core segment's work-vs-doorbell race -- gets one
+        :class:`_EventRace`, and anything else a :class:`_Race`."""
+        if len(sources) == 2:
+            delay, event = sources
+            if type(delay) is Delay and type(event) is Event and not event.fired:
+                race = _new_event_race(_EventRace)
+                race.sim = self
+                race.proc = proc
+                race.event = event
+                timer = self._arm_delay_race(proc, sources[:1])
+                timer.value = race
+                race.timer = timer
+                event._waiters.append(race)
+                return
         for source in sources:
             if type(source) is not Delay:
                 break
         else:
             self._arm_delay_race(proc, sources)
             return
-        settled = [False]
-        timers: List[_Timer] = []
-        subscriptions: List[tuple] = []
-
-        def settle(index: int, source: Any, value: Any = None) -> None:
-            if settled[0]:
-                return
-            settled[0] = True
-            for timer in timers:
-                timer.cancel()
-            for event, callback in subscriptions:
-                event.remove_waiter(callback)
-            # resume via the event loop rather than synchronously: a
-            # process looping on already-fired sources must not recurse
-            self._schedule_resume(proc, Wakeup(index, source, value))
-
-        for index, source in enumerate(any_of.sources):
-            if settled[0]:
+        race = _Race(self, proc)
+        timers = race.timers
+        subscriptions = race.subscriptions
+        for index, source in enumerate(sources):
+            if race.proc is None:
+                # an already-fired source settled the race mid-arm
                 break
             if isinstance(source, Delay):
-                timers.append(
-                    self.schedule(source.ns, partial(settle, index, source))
-                )
-            elif isinstance(source, Process):
-                callback = partial(settle, index, source)
-                subscriptions.append((source.done, callback))
-                source.done.add_waiter(callback)
-            else:  # Event
-                callback = partial(settle, index, source)
-                subscriptions.append((source, callback))
-                source.add_waiter(callback)
+                # a one-delay elided race is exactly this source's timer
+                timer = self._arm_delay_race(proc, [source])
+                timer.anyof.index = index
+                timer.value = race
+                timers.append(timer)
+                continue
+            callback = partial(race.settle, index, source)
+            if isinstance(source, Process):
+                source = source.done
+            subscriptions.append((source, callback))
+            source.add_waiter(callback)
 
-    def _arm_delay_race(self, proc: Process, sources: List[Delay]) -> None:
+    def _arm_delay_race(self, proc: Process, sources: List[Delay]) -> _Timer:
         """Elide an all-delay :class:`AnyOf`: only a race between fixed
         delays has a winner that is a pure function of the arm time, so
         the losers never need to be queued at all.
@@ -739,7 +820,7 @@ class Simulator:
         if self._calendar:
             if best_when == now:
                 self._now_q.append(timer)
-                return
+                return timer
             offset = best_when - self._bucket_base
             if offset < self._bucket_span:
                 index = offset // self._bucket_width
@@ -756,18 +837,23 @@ class Simulator:
                     )
                 else:
                     self._enqueue((best_when, best_key, best_seq, timer))
-                return
+                return timer
             heapq.heappush(self._heap, (best_when, best_key, best_seq, timer))
-            return
+            return timer
         self._enqueue((best_when, best_key, best_seq, timer))
+        return timer
 
     def _fire_elided(self, timer: _Timer) -> None:
-        """Dispatch an elided-race winner: re-queue the resume at the
-        fire time, reusing the timer object (the unelided settle path
-        allocates a fresh one; object identity is not observable).
-        Matches :meth:`_schedule_resume` including the sequence bump.
+        """Dispatch a winning race delay: disarm the race's other
+        sources, then re-queue the resume at the fire time, reusing the
+        timer object (a settle callback allocates a fresh one; object
+        identity is not observable).  Matches :meth:`_schedule_resume`
+        including the sequence bump.
         """
         wakeup = timer.anyof
+        race = timer.value
+        if race is not None:
+            race.drop(timer)
         timer.anyof = None
         timer.value = wakeup
         timer.when = self.now
@@ -816,14 +902,17 @@ class Simulator:
                 bucket[:] = kept
                 if index == current:
                     self._ci = 0
-            if self._now_q:
-                fresh: "deque[_Timer]" = deque()
-                for timer in self._now_q:
+            now_q = self._now_q
+            if now_q:
+                # filtered in place: run() holds this deque in a local
+                fresh = []
+                for timer in now_q:
                     if timer._cancelled:
                         timer._in_heap = False
                     else:
                         fresh.append(timer)
-                self._now_q = fresh
+                now_q.clear()
+                now_q.extend(fresh)
         self._stale = 0
 
     def _rebase(self, until: Optional[int]) -> bool:
@@ -1103,6 +1192,9 @@ class Simulator:
                     else:
                         # _fire_elided, inlined: re-queue the resume at
                         # the fire time with a fresh sequence number
+                        race = timer.value
+                        if race is not None:
+                            race.drop(timer)
                         timer.anyof = None
                         timer.value = wakeup
                         timer._in_heap = True

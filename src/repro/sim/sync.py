@@ -26,6 +26,8 @@ class Notify:
 
     def __init__(self, name: str = ""):
         self.name = name
+        #: every waiter event's name, formatted once (wait() is per segment)
+        self._event_name = f"notify:{name}"
         self._pending = 0
         self._waiters: List[Event] = []
         self.signal_count = 0
@@ -40,7 +42,7 @@ class Notify:
 
     def wait(self) -> Event:
         """Return an event that fires on the next (or a pending) signal."""
-        event = Event(f"notify:{self.name}")
+        event = Event(self._event_name)
         if self._pending:
             self._pending -= 1
             event.fire(None)

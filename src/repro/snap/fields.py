@@ -115,7 +115,11 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
         "_samples",
     ),
     "repro.sim.sync:Notify": _spec(
-        "name", "_pending", "_waiters", "signal_count"
+        "name",
+        "_pending",
+        "_waiters",
+        "signal_count",
+        _event_name=DERIVED,
     ),
     "repro.sim.sync:Channel": _spec(
         "name",

@@ -111,3 +111,27 @@ def test_run_until_done_sees_through_cancelled_timers():
     timer.cancel()
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_done(proc)
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_compaction_mid_run_keeps_same_instant_timers(scheduler):
+    # two processes race already-fired events at t=0, cancelling one
+    # delay each, so compaction triggers inside run() while the other
+    # process's resume hop waits in the now queue; every resume must
+    # still run
+    sim = Simulator(scheduler=scheduler)
+    n_races = 2 * Simulator._COMPACT_MIN
+    values = []
+
+    def racer(name):
+        for i in range(n_races):
+            event = Event("fired")
+            event.fire(i)
+            wakeup = yield AnyOf([Delay(5), event])
+            values.append((name, wakeup.value))
+
+    sim.spawn(racer("a"))
+    sim.spawn(racer("b"))
+    sim.run()
+    assert values == [(name, i) for i in range(n_races) for name in "ab"]
+    assert sim.pending_events == 0 and sim._stale == 0
