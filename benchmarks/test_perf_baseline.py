@@ -11,7 +11,9 @@ root so the bench trajectory survives across PRs:
   calendar queue vs binary heap, batched bucket dispatch vs
   one-event-at-a-time dispatch, event-race arming (``[Delay, Event]``
   races vs the frozen engine, with the collector's pass and freed-object
-  counts of each), and compute-span coalescing vs the
+  counts of each), quiescent-window scan coalescing on the exit-storm
+  cell (wake-up slot polls as one wait vs one per poll, with
+  ``PhysicalCore.execute`` call counts), and compute-span coalescing vs the
   per-chunk expansion.  Coalescing is scored in *legacy-equivalent*
   events/sec: the coalesced run retires the same simulated work with
   ~``chunks``× fewer engine events, so its effective rate is the
@@ -43,8 +45,16 @@ import _legacy_engine  # noqa: E402  (the frozen pre-optimization engine)
 import repro.sim.engine as live_engine  # noqa: E402
 from repro.costs import DEFAULT_COSTS  # noqa: E402
 from repro.experiments.fig6 import _coremark_cell, fig6_cells  # noqa: E402
-from repro.experiments.runner import resolve_jobs, run_cells  # noqa: E402
+from repro.experiments.config import SystemConfig  # noqa: E402
+from repro.experiments.runner import (  # noqa: E402
+    canonical_digest,
+    resolve_jobs,
+    run_cells,
+)
+from repro.experiments.workbench import run_coremark  # noqa: E402
+from repro.hw.core import PhysicalCore  # noqa: E402
 from repro.sim.clock import ms  # noqa: E402
+from repro.sim.engine import Simulator  # noqa: E402
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
@@ -306,6 +316,56 @@ def test_lever_race_arming_vs_legacy():
     assert live_freed == 0, f"live race arming left {live_freed} cyclic objects"
     # noise floor only; the measured margin is far above it
     assert legacy_s / live_s >= 1.10
+
+
+def _exit_storm(duration_ns=int(ms(100))):
+    """The ``exit-storm`` benchmark cell (gapped CoreMark on 16 cores
+    without timer delegation: every tick exits to the host core)."""
+    return run_coremark(
+        SystemConfig(delegation=False, seed=0), duration_ns=duration_ns
+    )
+
+
+def test_lever_quiet_scan_window(monkeypatch):
+    """Quiescent-window scan coalescing on the exit-storm cell: the
+    wake-up thread's slot polls retired as one wait vs one ``execute``
+    per poll (the window forced shut by pinning
+    ``Simulator.quiet_until`` to ``now``)."""
+
+    def closed(sim):
+        return sim.now
+
+    def execute_calls():
+        calls = [0]
+        execute = PhysicalCore.execute
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return execute(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PhysicalCore, "execute", counted)
+            digest = canonical_digest(_exit_storm())
+        return digest, calls[0]
+
+    open_digest, open_calls = execute_calls()
+    open_s = _best_of(_exit_storm)
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "quiet_until", closed)
+        closed_digest, closed_calls = execute_calls()
+        closed_s = _best_of(_exit_storm)
+    assert open_digest == closed_digest
+    RESULTS.setdefault("levers", {})["quiet_scan"] = {
+        "workload": "exit-storm cell, 100 ms simulated, window on vs off",
+        "execute_calls_window": open_calls,
+        "execute_calls_per_slot": closed_calls,
+        "seconds_window": round(open_s, 4),
+        "seconds_per_slot": round(closed_s, 4),
+        "window_vs_per_slot_speedup": round(closed_s / open_s, 3),
+    }
+    assert open_calls < closed_calls
+    # noise floor only; the measured margin is well above it
+    assert closed_s / open_s >= 1.05
 
 
 def test_fig6_cell_wallclock():

@@ -10,6 +10,7 @@ from .threads import (
     TBlock,
     TCompute,
     TSleep,
+    TSlices,
     TSpin,
     TYield,
     ThreadState,
@@ -32,6 +33,7 @@ __all__ = [
     "TBlock",
     "TCompute",
     "TSleep",
+    "TSlices",
     "TSpin",
     "TYield",
     "ThreadState",

@@ -26,7 +26,7 @@ from ..costs import CostModel, DEFAULT_COSTS
 from ..hw.core import ExecStatus, PhysicalCore
 from ..hw.machine import Machine
 from ..isa.worlds import HOST_DOMAIN
-from ..sim.engine import AnyOf, Event
+from ..sim.engine import AnyOf, Delay, Event
 from ..sim.sync import Notify
 from .threads import (
     HostThread,
@@ -34,6 +34,7 @@ from .threads import (
     TBlock,
     TCompute,
     TSleep,
+    TSlices,
     TSpin,
     TYield,
     ThreadState,
@@ -328,6 +329,10 @@ class HostKernel:
                 outcome = yield from self._run_compute(core, thread, action)
                 if outcome == "descheduled":
                     return
+            elif isinstance(action, TSlices):
+                outcome = yield from self._run_slices(core, thread, action)
+                if outcome == "descheduled":
+                    return
             elif isinstance(action, TBlock):
                 if action.event.fired:
                     thread.send_value = action.event.value
@@ -427,6 +432,47 @@ class HostKernel:
         if return_on_irq:
             thread.send_value = 0
         return "done"
+
+    def _run_slices(self, core: PhysicalCore, thread: HostThread, action: TSlices):
+        """Run a :class:`TSlices`; returns "done" or "descheduled".
+
+        If two or more slices end before anything else can dispatch
+        (:meth:`Simulator.quiet_until`) and nothing already pending
+        could cut one short -- the core is online, no interrupt or
+        doorbell signal is pending, the host owes no refill penalty,
+        and the thread is FIFO, so no quantum boundary can requeue it
+        -- every slice that fits runs as one plain wait.  Each of them
+        would have run to completion untouched, so their spans,
+        pollution charges and CPU time are synthesized exactly as the
+        one-by-one run records them, and the sequence numbers that run
+        would have drawn (a race delay and a resume per slice) are
+        reserved.  Otherwise one slice runs through
+        :meth:`_run_compute`, interrupts and all.
+        """
+        work_ns = action.work_ns
+        irq = core.irq
+        if (
+            action.count > 1
+            and work_ns > 0
+            and core.online
+            and not irq.has_pending()
+            and not irq.doorbell.pending
+            and core.pollution.pending_penalty(HOST_DOMAIN) == 0
+            and thread.sched_class == SchedClass.FIFO
+        ):
+            sim = self.sim
+            start = sim.now
+            count = min(action.count, (sim.quiet_until() - 1 - start) // work_ns)
+            if count > 1:
+                sim.reserve_seq(2 * count - 1)
+                yield Delay(work_ns * count)
+                core._synthesize_chunks(HOST_DOMAIN, start, 0, work_ns, count, None)
+                thread.cpu_ns += work_ns * count
+                thread.send_value = count
+                return "done"
+        outcome = yield from self._run_compute(core, thread, TCompute(work_ns))
+        thread.send_value = 1
+        return outcome
 
     def _run_spin(self, core: PhysicalCore, thread: HostThread, action: TSpin):
         """Busy-wait on an event while occupying the core."""

@@ -7,6 +7,9 @@ kernel model.  A thread body is a generator yielding thread actions:
 ===========  =============================================================
 ``TCompute``  burn CPU on the current core (optionally as a guest domain,
               for shared-core guest execution inside a vCPU thread)
+``TSlices``   up to N back-to-back host ``TCompute`` slices with nothing
+              observed between them (the yield evaluates to how many
+              ran, at least one)
 ``TBlock``    deschedule until an event fires (the yield evaluates to the
               event's value)
 ``TSleep``    deschedule for a fixed time
@@ -28,6 +31,7 @@ from ..sim.engine import Event
 
 __all__ = [
     "TCompute",
+    "TSlices",
     "TBlock",
     "TSleep",
     "TYield",
@@ -47,6 +51,18 @@ class TCompute:
     #: when True, an interrupt hands control back to the thread body
     #: with the remaining work (VM-exit semantics for guest segments)
     return_on_irq: bool = False
+
+
+@dataclass
+class TSlices:
+    """Up to ``count`` host slices of ``work_ns`` each, as if yielded
+    as that many ``TCompute(work_ns)`` with the body looking at nothing
+    in between.  The kernel retires as many as provably overlap no other
+    event in one wait (at least one, with normal interrupt handling
+    otherwise) and sends the body the number retired."""
+
+    work_ns: int
+    count: int
 
 
 @dataclass

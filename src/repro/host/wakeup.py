@@ -21,13 +21,26 @@ from ..rpc.ports import AsyncRpcPort
 from ..sim.sync import Notify
 from ..sim.timeout import TIMED_OUT, with_timeout
 from .kernel import CVM_EXIT_SGI, HostKernel
-from .threads import HostThread, SchedClass, TBlock, TCompute
+from .threads import HostThread, SchedClass, TBlock, TCompute, TSlices
 
 __all__ = ["ExitNotifier"]
 
 
+def _claimable(slot) -> bool:
+    return slot.completed and not slot.claimed.fired
+
+
 class ExitNotifier:
-    """Host-side dispatcher for CVM-exit IPIs (one per host)."""
+    """Host-side dispatcher for CVM-exit IPIs (one per host).
+
+    Each poll of a completion slot costs ``wakeup_scan_slot_ns`` of host
+    time on the wake-up thread's core, slot by slot in registration
+    order.  The thread asks for the polls up to the next claimable slot
+    as one :class:`~repro.host.threads.TSlices`: while no other event
+    can dispatch, no slot can complete in between, so those polls must
+    all fail and the kernel retires them as one wait, recording exactly
+    the spans and CPU time of polling one slot at a time.
+    """
 
     def __init__(
         self,
@@ -112,10 +125,21 @@ class ExitNotifier:
             progress = True
             while progress:
                 progress = False
-                for port in self.ports:
-                    yield TCompute(self.costs.wakeup_scan_slot_ns)
-                    slot = port.slot
-                    if slot.completed and not slot.claimed.fired:
+                ports = self.ports
+                index = 0
+                while index < len(ports):
+                    # every check before the first claimable slot fails
+                    # unless something dispatches first; TSlices retires
+                    # those checks together when nothing can
+                    target = index
+                    last = len(ports) - 1
+                    while target < last and not _claimable(ports[target].slot):
+                        target += 1
+                    index += yield TSlices(
+                        self.costs.wakeup_scan_slot_ns, target - index + 1
+                    )
+                    slot = ports[index - 1].slot
+                    if _claimable(slot):
                         yield TCompute(self.costs.vcpu_unblock_ns)
                         self.wakeups_performed += 1
                         if from_watchdog:

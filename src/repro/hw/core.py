@@ -263,9 +263,14 @@ class PhysicalCore:
         index = self.index
         name = domain.name
         self.busy_ns += chunk_ns * count + penalty
+        now = self.sim.now
         t = start
         end = start + chunk_ns + penalty
         for _ in range(count):
+            if end == now:
+                # reuse the clock's int, as a live run's end_span does:
+                # spans outlive the run, and the next span starts at now
+                end = now
             pollution.note_run(domain)
             pollution.note_run_duration(domain, end - t)
             tracer.insert_span(index, name, t, end)

@@ -63,6 +63,11 @@ Hot-path notes (every experiment is bounded by this loop):
   and queue inserts are inlined at the few scheduling sites rather
   than factored through helpers: this file trades repetition for the
   ~40% of dispatch cost that call frames were costing.
+* Inside :meth:`run`, :meth:`Simulator.quiet_until` bounds the next
+  dispatch from below, so a process can retire work that provably
+  overlaps nothing as one wait (the host's idle slot scan does);
+  :meth:`Simulator.reserve_seq` then consumes the sequence numbers the
+  per-step expansion would have used, keeping every later tie key.
 * ``pending_events`` is an O(1) counter kept by :meth:`_Timer.cancel`;
   cancelled timers (event-racing ``AnyOf`` losers, disarmed deadlines)
   are skipped lazily and compacted out of the queues when they pile up.
@@ -279,6 +284,9 @@ class _Timer:
         return f"_Timer(when={self.when}, {state})"
 
 
+#: :meth:`Simulator.quiet_until`'s cap inside ``run()`` with no ``until``
+_END_OF_TIME = 1 << 63
+
 #: queue entry type: (when, tie_key, seq, timer)
 _HeapEntry = Tuple[int, int, int, _Timer]
 
@@ -423,6 +431,10 @@ class Simulator:
         self._ci: int = 0
         #: sequence counter at the last epoch rebase (width adaptation)
         self._rebase_seq: int = 0
+        #: one past the last time the running :meth:`run` may dispatch
+        #: (its ``until`` + 1); ``None`` outside :meth:`run`, where
+        #: :meth:`quiet_until` offers no window
+        self._run_end: Optional[int] = None
         #: optional dispatch profiler (see repro.obs.profile); None keeps
         #: run() on the uninstrumented fast path — zero cost when off
         self._profiler: Optional[Any] = None
@@ -584,6 +596,63 @@ class Simulator:
 
     def call_soon(self, callback: Callable[[], None]) -> _Timer:
         return self.schedule(0, callback)
+
+    def reserve_seq(self, n: int) -> None:
+        """Consume ``n`` sequence numbers without queueing anything.
+
+        A process that retires several steps as one wait (see
+        :meth:`quiet_until`) reserves the numbers the steps would have
+        used, so ``_seq`` -- and with it every later tie key and the
+        calendar's width adaptation -- matches the step-by-step run.
+        """
+        if n < 0:
+            raise SimulationError(f"negative reservation: {n}")
+        self._seq += n
+
+    def quiet_until(self) -> int:
+        """Lower bound on the next dispatch: nothing else can run in
+        ``[now, quiet_until())``.
+
+        A process being dispatched that queues nothing but one wait
+        ending before the bound therefore runs alone until that wait
+        fires: no interrupt, signal or state change can reach it.  The
+        bound is ``now`` while anything is queued at ``now`` and
+        outside :meth:`run` (``run_one`` and ``run_until_done`` stop
+        after every event, so they offer no window).  Within a run it
+        is capped at ``until`` + 1 and, on the calendar path, at the
+        current epoch's end, so a wait never moves a rebase.  Cancelled
+        entries still count: a conservative bound only coalesces less.
+        """
+        end = self._run_end
+        now = self.now
+        if end is None or self._now_q:
+            return now
+        if self._calendar:
+            epoch_end = self._bucket_base + self._bucket_span
+            if epoch_end < end:
+                end = epoch_end
+            # buckets partition the epoch in time order and the overflow
+            # heap only holds entries past it, so the first non-empty
+            # bucket holds the earliest entry
+            cb = self._cb
+            if cb < self._N_BUCKETS:
+                buckets = self._buckets
+                bucket = buckets[cb]
+                ci = self._ci
+                if ci < len(bucket):
+                    when = bucket[ci][0]  # the undispatched suffix is sorted
+                    return when if when < end else end
+                for index in range(cb + 1, self._N_BUCKETS):
+                    bucket = buckets[index]
+                    if bucket:
+                        when = min(bucket)[0]
+                        return when if when < end else end
+            return end
+        heap = self._heap
+        if heap:
+            when = heap[0][0]
+            return when if when < end else end
+        return end
 
     def spawn(self, body: ProcessBody, name: str = "proc") -> Process:
         """Create a process from a generator and start it at the current time."""
@@ -1089,6 +1158,18 @@ class Simulator:
     def run(self, until: Optional[int] = None) -> int:
         """Process events until the queues drain or the clock passes
         ``until``.  Returns the simulated time at which the run stopped.
+        While it runs, :meth:`quiet_until` offers windows ending by
+        ``until``.
+        """
+        outer = self._run_end
+        self._run_end = _END_OF_TIME if until is None else until + 1
+        try:
+            return self._run_loop(until)
+        finally:
+            self._run_end = outer
+
+    def _run_loop(self, until: Optional[int]) -> int:
+        """The body of :meth:`run`.
 
         On the calendar path the loop drains whole buckets inline:
         one sort orders a batch of same-epoch timers and dispatch walks

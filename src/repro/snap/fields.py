@@ -74,6 +74,7 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
         _calendar=DERIVED,
         _bucket_span=DERIVED,
         _profiler=OBSERVER,
+        _run_end="set only while run() is on the stack; None at every capture",
     ),
     "repro.sim.engine:Event": _spec(
         "name",

@@ -97,6 +97,24 @@ class TestDomainTagging:
         assert dropped == 8
         assert cache.filled_lines == 0
 
+    def test_flush_after_partial_fill_and_flush_domain(self):
+        cache = small_cache(ways=2, sets=4)
+        # three of four sets touched, one of them full
+        for addr in (0x0, 4 * 64, 0x40, 3 * 64):
+            cache.access(addr, HOST_DOMAIN)
+        cache.access(2 * 64, REALM)
+        assert cache.flush_domain(REALM) == 1
+        # a set emptied by flush_domain counts nothing, and a flush
+        # leaves every set empty and usable
+        assert cache.flush() == 4
+        assert cache.domains_present() == set()
+        assert cache.filled_lines == 0
+        assert all(not cache.set_occupancy(i) for i in range(4))
+        assert cache.flush() == 0
+        cache.access(0x40, REALM)
+        assert cache.flush() == 1
+        assert cache.domains_present() == set()
+
     def test_occupancy_by_domain(self):
         cache = small_cache()
         cache.access(0x0, HOST_DOMAIN)
