@@ -8,8 +8,8 @@ root so the bench trajectory survives across PRs:
   *and* on the frozen pre-optimization snapshot
   (``benchmarks/_legacy_engine.py``).
 * **levers** (schema 2): the same claim decomposed per optimisation —
-  calendar queue vs binary heap, batched bucket dispatch vs
-  one-event-at-a-time dispatch, event-race arming (``[Delay, Event]``
+  ``run()``'s inline pop loop vs one ``run_one`` call per event
+  (``batch_dispatch``), event-race arming (``[Delay, Event]``
   races vs the frozen engine, with the collector's pass and freed-object
   counts of each), quiescent-window scan coalescing on the exit-storm
   cell (wake-up slot polls as one wait vs one per poll, with
@@ -85,15 +85,12 @@ def _best_of(fn, repeats=3):
 # engine micro workloads
 
 
-def _engine_workload(mod, n_procs=40, n_iter=300, scheduler=None):
+def _engine_workload(mod, n_procs=40, n_iter=300):
     """Plain delays alternating with all-delay ``AnyOf`` races; returns
     the count of scheduled timers.  The live engine elides every one of
     these races to a single timer, so this measures raw dispatch, not
     event-race arming (see :func:`_race_workload` for that)."""
-    if scheduler is None:
-        sim = mod.Simulator()
-    else:
-        sim = mod.Simulator(scheduler=scheduler)
+    sim = mod.Simulator()
 
     def worker(i):
         for k in range(n_iter):
@@ -144,8 +141,8 @@ def _gc_counts(fn):
 
 
 def _run_unbatched(sim):
-    """Drain a simulator one event per call — the dispatch path minus
-    the bucket-batched inner loop of :meth:`Simulator.run`."""
+    """Drain a simulator one :meth:`Simulator.run_one` call per event —
+    the dispatch path minus the inline pop loop of :meth:`Simulator.run`."""
     while sim._live:
         sim.run_one()
     return sim.now
@@ -204,29 +201,9 @@ def test_engine_events_per_sec_vs_legacy():
     assert speedup >= 1.10, f"engine regressed vs pre-PR baseline: {speedup:.3f}x"
 
 
-def test_lever_calendar_vs_heap():
-    n_events = _engine_workload(live_engine, scheduler="heap")
-    assert n_events == _engine_workload(live_engine, scheduler="calendar")
-
-    heap_s = _best_of(
-        lambda: _engine_workload(live_engine, scheduler="heap"), repeats=5
-    )
-    calendar_s = _best_of(
-        lambda: _engine_workload(live_engine, scheduler="calendar"), repeats=5
-    )
-    RESULTS.setdefault("levers", {})["scheduler"] = {
-        "scheduled_events": n_events,
-        "events_per_sec_heap": round(n_events / heap_s),
-        "events_per_sec_calendar": round(n_events / calendar_s),
-        "calendar_vs_heap_speedup": round(heap_s / calendar_s, 3),
-    }
-    # noise floor only: on a loaded single-CPU host the two samples
-    # can land 10-20% apart either way on this micro workload; the
-    # real regression guard is the headline live-vs-legacy assert
-    assert heap_s / calendar_s >= 0.75
-
-
 def test_lever_batched_vs_unbatched_dispatch():
+    # "batched" is run()'s inline pop loop, "unbatched" one run_one()
+    # call per event; the key names stay so the ledger stays comparable
     def build():
         sim = live_engine.Simulator()
 

@@ -227,14 +227,8 @@ def run_chaos_case(
     seed: int = 0,
     n_cores: int = 6,
     n_vcpus: int = 3,
-    scheduler: str = "calendar",
 ) -> ChaosOutcome:
-    """Run one workload under one fault plan with hardening enabled.
-
-    ``scheduler`` selects the engine's event-queue implementation —
-    digest-interchangeable by contract, exposed so the scheduler
-    equivalence tests can diff a chaos run per implementation.
-    """
+    """Run one workload under one fault plan with hardening enabled."""
     if scenario not in CHAOS_SCENARIOS:
         raise SimulationError(f"unknown chaos scenario {scenario!r}")
     config = SystemConfig(
@@ -243,7 +237,6 @@ def run_chaos_case(
         n_host_cores=1,
         seed=seed,
         trace_schedules=True,
-        scheduler=scheduler,
     )
     system = System(config)
     outcome = ChaosOutcome(

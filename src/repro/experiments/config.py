@@ -46,10 +46,10 @@ class SystemConfig:
     #: Anything but the default exists for the schedule-race sanitizer
     #: (repro.lint.sanitizer); results must not depend on it.
     tie_break: str = "fifo"
-    #: event-queue implementation ("calendar" | "heap").  Digest-
-    #: interchangeable by contract; the knob exists for the scheduler
-    #: equivalence tests and as an escape hatch.
-    scheduler: str = "calendar"
+    #: retired: no longer settable and read by nothing.  Kept only
+    #: because recorded result digests embed every field of an embedded
+    #: SystemConfig; drop it when those digests are next re-recorded.
+    scheduler: str = field(default="calendar", init=False)
     #: model long uniform compute phases as one interruptible span
     #: instead of per-chunk delays.  Digest-identical to the expansion
     #: whenever nothing needs mid-span visibility; spans de-coalesce

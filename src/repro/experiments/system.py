@@ -52,9 +52,7 @@ class System:
         )
         self.machine = Machine(
             topology,
-            sim=Simulator(
-                tie_break=config.tie_break, scheduler=config.scheduler
-            ),
+            sim=Simulator(tie_break=config.tie_break),
             tracer=Tracer(enabled=config.trace_schedules),
             rng=RngFactory(config.seed),
         )

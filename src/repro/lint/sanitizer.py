@@ -108,7 +108,6 @@ def _run_scenario(
     n_cores: int,
     duration_ms: int,
     trace_schedules: bool = True,
-    scheduler: str = "calendar",
     coalesce_compute: bool = False,
 ) -> RunDigest:
     config = SystemConfig(
@@ -116,7 +115,6 @@ def _run_scenario(
         seed=seed,
         trace_schedules=trace_schedules,
         tie_break=tie_break,
-        scheduler=scheduler,
         coalesce_compute=coalesce_compute,
         **overrides,  # type: ignore[arg-type]
     )
@@ -165,7 +163,6 @@ def run_probe(
     n_cores: int = 4,
     duration_ms: int = 40,
     trace_schedules: bool = True,
-    scheduler: str = "calendar",
     coalesce_compute: bool = False,
 ) -> RunDigest:
     """Run all probe scenarios once and digest traces and metrics.
@@ -173,16 +170,14 @@ def run_probe(
     ``trace_schedules=False`` runs with observability disabled — the
     digest then proves instrumentation is inert when off (the golden
     file under ``tests/obs/`` pins the pre-instrumentation bytes).
-    ``scheduler`` and ``coalesce_compute`` select engine fast paths that
-    are digest-interchangeable by contract; the scheduler-equivalence
-    tests diff a probe per knob setting against the default.
+    ``coalesce_compute`` selects the compute-span fast path, which is
+    digest-interchangeable with the per-chunk expansion by contract.
     """
     combined = RunDigest([], [], {}, {})
     for label, overrides in _PROBE_SCENARIOS:
         digest = _run_scenario(
             label, overrides, seed, tie_break, n_cores, duration_ms,
             trace_schedules=trace_schedules,
-            scheduler=scheduler,
             coalesce_compute=coalesce_compute,
         )
         combined.records.extend(digest.records)

@@ -19,23 +19,13 @@ deterministic: simultaneous events run in spawn/schedule order.
 
 Hot-path notes (every experiment is bounded by this loop):
 
-* The default ``scheduler="calendar"`` splits the queue three ways: a
-  *now queue* (plain deque) for events at the current instant, a
-  calendar ring of time buckets with O(1) append inserts and batched
-  sorted drains for the near future, and a binary heap (``_heap``) for
-  far-future overflow, pulled forward epoch by epoch.  The bucket
-  width adapts to observed event density at every epoch rebase.
-  Dispatch order is identical to a single heap's ``(when, key, seq)``
-  total order -- same-instant events were queued later than anything
-  already in the bucket for that time, buckets partition time, and
-  the overflow heap only feeds empty rings -- so the two schedulers
-  are digest-interchangeable (``scheduler="heap"`` keeps the
-  single-heap path; non-``"fifo"`` tie-breaks always use it, since a
-  permuted key breaks the append-in-order invariant the buckets and
-  the now queue exploit).
-* Ring and heap entries are ``(when, key, seq, timer)`` tuples, so
-  ordering comparisons run in C; now-queue entries are bare timers
-  (FIFO append order *is* their sequence order).
+* The queue is one binary heap of ``(when, key, seq, timer)`` tuples,
+  so ordering comparisons run in C and dispatch follows that total
+  order: time, then the tie-break key, then schedule order.
+* Dispatch rebinds ``self.now`` only when the clock actually moves.
+  ``now + 0`` is a fresh int object, and every span or record stamped
+  after a same-instant hop would otherwise keep its own copy alive;
+  guarded, they all share the one object the clock already holds.
 * An ``AnyOf`` whose sources are all delays is *elided*: the winner is
   computed arithmetically at arm time and a single timer is queued in
   its place, carrying a pre-built :class:`Wakeup`.  Sequence numbers
@@ -70,7 +60,7 @@ Hot-path notes (every experiment is bounded by this loop):
   per-step expansion would have used, keeping every later tie key.
 * ``pending_events`` is an O(1) counter kept by :meth:`_Timer.cancel`;
   cancelled timers (event-racing ``AnyOf`` losers, disarmed deadlines)
-  are skipped lazily and compacted out of the queues when they pile up.
+  are skipped lazily and compacted out of the heap when they pile up.
 * The default ``"fifo"`` tie-break skips the tie-key indirection
   entirely; the permuting keys exist only for the schedule-race
   sanitizer and pay the call when selected.
@@ -78,10 +68,8 @@ Hot-path notes (every experiment is bounded by this loop):
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
-from collections import deque
 from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -214,13 +202,12 @@ class Process:
 
 
 class _Timer:
-    """A cancellable entry in the event queues.
+    """A cancellable entry in the event heap.
 
-    Ordering lives in the queue tuple ``(when, key, seq, timer)`` (or,
-    for now-queue entries, in deque append order), not here.  ``proc``
-    is the closure-free fast path: when set, the loop resumes that
-    process directly (sending ``value``) instead of calling
-    ``callback``.  ``anyof`` marks an :class:`AnyOf` delay source
+    Ordering lives in the heap tuple ``(when, key, seq, timer)``, not
+    here.  ``proc`` is the closure-free fast path: when set, the loop
+    resumes that process directly (sending ``value``) instead of
+    calling ``callback``.  ``anyof`` marks an :class:`AnyOf` delay source
     queued as a hop timer: it holds the pre-built :class:`Wakeup`, and
     dispatch re-queues the resume (a fresh sequence number at the fire
     time) exactly as a settle callback's resume would.  On such a timer
@@ -284,7 +271,8 @@ class _Timer:
         return f"_Timer(when={self.when}, {state})"
 
 
-#: :meth:`Simulator.quiet_until`'s cap inside ``run()`` with no ``until``
+#: a run's dispatch limit, and :meth:`Simulator.quiet_until`'s cap, when
+#: ``run()`` has no ``until``
 _END_OF_TIME = 1 << 63
 
 #: queue entry type: (when, tie_key, seq, timer)
@@ -374,32 +362,17 @@ class Simulator:
         sim = Simulator()
         proc = sim.spawn(my_generator(), name="worker")
         sim.run(until=1_000_000)   # or sim.run() to drain all events
-
-    ``scheduler`` selects the queue implementation: ``"calendar"``
-    (default) or ``"heap"`` (the single binary heap).  Both dispatch in
-    the same ``(when, key, seq)`` total order, so runs are
-    digest-identical across the switch; the knob exists for the
-    equivalence tests and as an escape hatch.
     """
 
     #: multiplier for the "seeded" tie-break hash (splitmix64 constant);
     #: pure integer math so permutations replay identically everywhere
     _TIE_MIX = 0x9E3779B97F4A7C15
 
-    #: cancelled entries tolerated in the queues before a compaction pass
+    #: cancelled entries tolerated in the heap before a compaction pass
     #: (also requires stale > live, so compaction work stays amortized)
     _COMPACT_MIN = 64
 
-    #: calendar ring size (buckets per epoch).  Width x ring is the
-    #: epoch span; anything scheduled past it overflows into the heap.
-    _N_BUCKETS = 256
-
-    #: initial bucket width in ns; adapted at every epoch rebase
-    _INITIAL_WIDTH = 1024
-
-    def __init__(self, tie_break: str = "fifo", scheduler: str = "calendar") -> None:
-        if scheduler not in ("calendar", "heap"):
-            raise SimulationError(f"unknown scheduler: {scheduler!r}")
+    def __init__(self, tie_break: str = "fifo") -> None:
         self.now: int = 0
         self._heap: List[_HeapEntry] = []
         self._seq: int = 0
@@ -407,30 +380,8 @@ class Simulator:
         self._stale: int = 0
         self._live_processes: int = 0
         self.tie_break = tie_break
-        self.scheduler = scheduler
         self._fifo = tie_break == "fifo"
         self._tie_key = self._make_tie_key(tie_break)
-        # a permuted tie key breaks the append-in-seq-order invariant
-        # the bucket sort and the now queue exploit, so those runs stay
-        # on the heap
-        self._calendar = scheduler == "calendar" and self._fifo
-        #: events at exactly ``self.now``: resume hops, zero delays,
-        #: spawns.  Append order is sequence order, so a deque replaces
-        #: both the entry tuple and the ordered insert.
-        self._now_q: "deque[_Timer]" = deque()
-        #: ring of bucket lists; bucket i covers
-        #: [base + i*width, base + (i+1)*width)
-        self._buckets: List[List[_HeapEntry]] = (
-            [[] for _ in range(self._N_BUCKETS)] if self._calendar else []
-        )
-        self._bucket_base: int = 0
-        self._bucket_width: int = self._INITIAL_WIDTH
-        self._bucket_span: int = self._INITIAL_WIDTH * self._N_BUCKETS
-        #: current bucket index / cursor into its sorted entries
-        self._cb: int = 0
-        self._ci: int = 0
-        #: sequence counter at the last epoch rebase (width adaptation)
-        self._rebase_seq: int = 0
         #: one past the last time the running :meth:`run` may dispatch
         #: (its ``until`` + 1); ``None`` outside :meth:`run`, where
         #: :meth:`quiet_until` offers no window
@@ -474,42 +425,6 @@ class Simulator:
         raise SimulationError(f"unknown tie_break: {tie_break!r}")
 
     # ------------------------------------------------------------------
-    # queue primitives
-    # ------------------------------------------------------------------
-
-    def _enqueue(self, entry: _HeapEntry) -> None:
-        """Queue one tuple entry (``when > now`` or heap mode).
-
-        Calendar inserts pick the bucket by offset; an insert into the
-        bucket currently being drained lands (bisected) among its
-        *undispatched* suffix, which is exactly where the heap would
-        surface it.  The hot scheduling sites inline the common cases
-        of this logic; they must stay behaviourally identical to it.
-        """
-        if self._calendar:
-            offset = entry[0] - self._bucket_base
-            if offset < self._bucket_span:
-                index = offset // self._bucket_width
-                cb = self._cb
-                if index == cb:
-                    insort(self._buckets[index], entry, self._ci)
-                elif index > cb:
-                    self._buckets[index].append(entry)
-                else:
-                    # the ring drained past this slot (cursor at the
-                    # end, clock moved on); rewind the cursor to it —
-                    # every bucket in between is already empty, and the
-                    # old current bucket keeps only its undispatched
-                    # suffix so the rewound walk cannot replay events
-                    if cb < self._N_BUCKETS and self._ci:
-                        del self._buckets[cb][: self._ci]
-                    self._cb = index
-                    self._ci = 0
-                    self._buckets[index].append(entry)
-                return
-        heapq.heappush(self._heap, entry)
-
-    # ------------------------------------------------------------------
     # scheduling primitives
     # ------------------------------------------------------------------
 
@@ -521,12 +436,10 @@ class Simulator:
         self._seq = seq
         timer = _Timer(self.now + int(delay_ns), callback, None, self)
         self._live += 1
-        if self._calendar and timer.when == self.now:
-            self._now_q.append(timer)
-        else:
-            self._enqueue(
-                (timer.when, 0 if self._fifo else self._tie_key(seq), seq, timer)
-            )
+        heappush(
+            self._heap,
+            (timer.when, 0 if self._fifo else self._tie_key(seq), seq, timer),
+        )
         return timer
 
     def _schedule_step(self, delay_ns: int, proc: Process) -> _Timer:
@@ -549,25 +462,8 @@ class Simulator:
         timer._in_heap = True
         timer._sim = self
         self._live += 1
-        if self._calendar:
-            if delay_ns == 0:
-                self._now_q.append(timer)
-                return timer
-            offset = when - self._bucket_base
-            if offset < self._bucket_span:
-                index = offset // self._bucket_width
-                cb = self._cb
-                if index == cb:
-                    insort(self._buckets[index], (when, 0, seq, timer), self._ci)
-                elif index > cb:
-                    self._buckets[index].append((when, 0, seq, timer))
-                else:
-                    self._enqueue((when, 0, seq, timer))
-                return timer
-            heapq.heappush(self._heap, (when, 0, seq, timer))
-            return timer
-        self._enqueue(
-            (when, 0 if self._fifo else self._tie_key(seq), seq, timer)
+        heappush(
+            self._heap, (when, 0 if self._fifo else self._tie_key(seq), seq, timer)
         )
         return timer
 
@@ -586,12 +482,10 @@ class Simulator:
         timer._in_heap = True
         timer._sim = self
         self._live += 1
-        if self._calendar:
-            self._now_q.append(timer)
-        else:
-            self._enqueue(
-                (timer.when, 0 if self._fifo else self._tie_key(seq), seq, timer)
-            )
+        heappush(
+            self._heap,
+            (timer.when, 0 if self._fifo else self._tie_key(seq), seq, timer),
+        )
         return timer
 
     def call_soon(self, callback: Callable[[], None]) -> _Timer:
@@ -602,8 +496,8 @@ class Simulator:
 
         A process that retires several steps as one wait (see
         :meth:`quiet_until`) reserves the numbers the steps would have
-        used, so ``_seq`` -- and with it every later tie key and the
-        calendar's width adaptation -- matches the step-by-step run.
+        used, so ``_seq`` -- and with it every later tie key -- matches
+        the step-by-step run.
         """
         if n < 0:
             raise SimulationError(f"negative reservation: {n}")
@@ -619,35 +513,12 @@ class Simulator:
         bound is ``now`` while anything is queued at ``now`` and
         outside :meth:`run` (``run_one`` and ``run_until_done`` stop
         after every event, so they offer no window).  Within a run it
-        is capped at ``until`` + 1 and, on the calendar path, at the
-        current epoch's end, so a wait never moves a rebase.  Cancelled
-        entries still count: a conservative bound only coalesces less.
+        is capped at ``until`` + 1.  Cancelled entries still count: a
+        conservative bound only coalesces less.
         """
         end = self._run_end
-        now = self.now
-        if end is None or self._now_q:
-            return now
-        if self._calendar:
-            epoch_end = self._bucket_base + self._bucket_span
-            if epoch_end < end:
-                end = epoch_end
-            # buckets partition the epoch in time order and the overflow
-            # heap only holds entries past it, so the first non-empty
-            # bucket holds the earliest entry
-            cb = self._cb
-            if cb < self._N_BUCKETS:
-                buckets = self._buckets
-                bucket = buckets[cb]
-                ci = self._ci
-                if ci < len(bucket):
-                    when = bucket[ci][0]  # the undispatched suffix is sorted
-                    return when if when < end else end
-                for index in range(cb + 1, self._N_BUCKETS):
-                    bucket = buckets[index]
-                    if bucket:
-                        when = min(bucket)[0]
-                        return when if when < end else end
-            return end
+        if end is None:
+            return self.now
         heap = self._heap
         if heap:
             when = heap[0][0]
@@ -700,27 +571,9 @@ class Simulator:
             timer._in_heap = True
             timer._sim = self
             self._live += 1
-            if self._calendar:
-                if delay_ns == 0:
-                    self._now_q.append(timer)
-                    return
-                offset = when - self._bucket_base
-                if offset < self._bucket_span:
-                    index = offset // self._bucket_width
-                    cb = self._cb
-                    if index == cb:
-                        insort(
-                            self._buckets[index], (when, 0, seq, timer), self._ci
-                        )
-                    elif index > cb:
-                        self._buckets[index].append((when, 0, seq, timer))
-                    else:
-                        self._enqueue((when, 0, seq, timer))
-                    return
-                heapq.heappush(self._heap, (when, 0, seq, timer))
-                return
-            self._enqueue(
-                (when, 0 if self._fifo else self._tie_key(seq), seq, timer)
+            heappush(
+                self._heap,
+                (when, 0 if self._fifo else self._tie_key(seq), seq, timer),
             )
         elif kind is AnyOf:
             self._arm_any_of(proc, yielded.sources)
@@ -886,30 +739,7 @@ class Simulator:
         timer._in_heap = True
         timer._sim = self
         self._live += 1
-        if self._calendar:
-            if best_when == now:
-                self._now_q.append(timer)
-                return timer
-            offset = best_when - self._bucket_base
-            if offset < self._bucket_span:
-                index = offset // self._bucket_width
-                cb = self._cb
-                if index == cb:
-                    insort(
-                        self._buckets[index],
-                        (best_when, best_key, best_seq, timer),
-                        self._ci,
-                    )
-                elif index > cb:
-                    self._buckets[index].append(
-                        (best_when, best_key, best_seq, timer)
-                    )
-                else:
-                    self._enqueue((best_when, best_key, best_seq, timer))
-                return timer
-            heapq.heappush(self._heap, (best_when, best_key, best_seq, timer))
-            return timer
-        self._enqueue((best_when, best_key, best_seq, timer))
+        heappush(self._heap, (best_when, best_key, best_seq, timer))
         return timer
 
     def _fire_elided(self, timer: _Timer) -> None:
@@ -930,206 +760,61 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         self._live += 1
-        if self._calendar:
-            self._now_q.append(timer)
-        else:
-            self._enqueue(
-                (timer.when, 0 if self._fifo else self._tie_key(seq), seq, timer)
-            )
+        heappush(
+            self._heap,
+            (timer.when, 0 if self._fifo else self._tie_key(seq), seq, timer),
+        )
 
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
 
     def _compact(self) -> None:
-        """Drop cancelled entries and rebuild the queues (amortized by
-        the trigger threshold; keeps cancellation storms from growing
-        the queues without bound)."""
+        """Drop cancelled entries and rebuild the heap (amortized by the
+        trigger threshold; keeps cancellation storms from growing the
+        heap without bound).  Rebuilt in place: :meth:`run` holds the
+        heap in a local, and a fresh list would strand its loop on the
+        old one."""
+        heap = self._heap
         live: List[_HeapEntry] = []
-        for entry in self._heap:
+        for entry in heap:
             timer = entry[3]
             if timer._cancelled:
                 timer._in_heap = False
             else:
                 live.append(entry)
-        heapq.heapify(live)
-        self._heap = live
-        if self._calendar:
-            current = self._cb
-            for index in range(current, self._N_BUCKETS):
-                bucket = self._buckets[index]
-                if not bucket:
-                    continue
-                start = self._ci if index == current else 0
-                kept = []
-                for entry in bucket[start:]:
-                    timer = entry[3]
-                    if timer._cancelled:
-                        timer._in_heap = False
-                    else:
-                        kept.append(entry)
-                bucket[:] = kept
-                if index == current:
-                    self._ci = 0
-            now_q = self._now_q
-            if now_q:
-                # filtered in place: run() holds this deque in a local
-                fresh = []
-                for timer in now_q:
-                    if timer._cancelled:
-                        timer._in_heap = False
-                    else:
-                        fresh.append(timer)
-                now_q.clear()
-                now_q.extend(fresh)
+        heapify(live)
+        heap[:] = live
         self._stale = 0
 
-    def _rebase(self, until: Optional[int]) -> bool:
-        """Start a new calendar epoch at the next heap timer, pulling
-        every overflow entry that now falls inside the epoch span.
-
-        The bucket width adapts here: the mean gap between the events
-        scheduled during the previous epoch estimates upcoming density.
-        Width only changes dispatch *batching*, never dispatch order,
-        so any deterministic estimate is digest-safe.
-        """
-        heap = self._heap
-        if not heap:
-            return False
-        base = heap[0][0]
-        if until is not None and base > until:
-            return False
-        scheduled = self._seq - self._rebase_seq
-        self._rebase_seq = self._seq
-        if scheduled > 0:
-            elapsed = base - self._bucket_base
-            gap = elapsed // scheduled
-            width = min(max(gap * 8, 64), 1 << 22)
-            self._bucket_width = width
-            self._bucket_span = width * self._N_BUCKETS
-        self._bucket_base = base
-        limit = base + self._bucket_span
-        width = self._bucket_width
-        buckets = self._buckets
-        pop = heapq.heappop
-        while heap and heap[0][0] < limit:
-            entry = pop(heap)
-            buckets[(entry[0] - base) // width].append(entry)
-        self._cb = 0
-        self._ci = 0
-        first = buckets[0]
-        if len(first) > 1:
-            first.sort()
-        return True
-
-    def _advance(self, until: Optional[int]) -> Optional[List[_HeapEntry]]:
-        """Move the calendar cursor to the next undispatched entry.
-
-        Returns the (sorted) bucket holding it with ``_ci`` pointing at
-        it, or ``None`` when the ring and heap are drained past
-        ``until``.  Exhausted buckets are cleared in passing; a stop at
-        ``until`` trims the dispatched prefix so captures see only
-        queued state.  The now queue is the caller's business.
-        """
-        n_buckets = self._N_BUCKETS
-        buckets = self._buckets
-        while True:
-            cb = self._cb
-            if cb < n_buckets:
-                bucket = buckets[cb]
-                ci = self._ci
-                if ci < len(bucket):
-                    if until is not None and bucket[ci][0] > until:
-                        if ci:
-                            del bucket[:ci]
-                            self._ci = 0
-                        return None
-                    return bucket
-                if bucket:
-                    bucket.clear()
-                self._ci = 0
-                cb += 1
-                self._cb = cb
-                if cb < n_buckets:
-                    nxt = buckets[cb]
-                    if len(nxt) > 1:
-                        nxt.sort()
-                continue
-            if not self._rebase(until):
-                return None
-
     def _pop_next(self, until: Optional[int] = None) -> Optional[_Timer]:
-        """Pop the next live timer, discarding cancelled entries.
+        """Pop the next live timer and move the clock to it, discarding
+        cancelled entries on the way.
 
-        The single pop loop shared by :meth:`run_one`, the profiled
-        loop and (through them) :meth:`run_until_done`; :meth:`run`
-        inlines the same order.  Returns ``None`` when the queues drain
-        or the next live timer lies beyond ``until`` (which is then
-        left queued).
+        Shared by :meth:`run_one` and the profiled loop; :meth:`run`
+        inlines the same loop.  Returns ``None`` when the heap drains
+        or the next live timer lies beyond ``until`` (which is then left
+        queued).
         """
-        if self._calendar:
-            now = self.now
-            now_q = self._now_q
-            while True:
-                # bucket entries at the current instant outrank the now
-                # queue: they were queued before `now` was reached, so
-                # their sequence numbers are strictly smaller
-                cb = self._cb
-                if cb < self._N_BUCKETS:
-                    bucket = self._buckets[cb]
-                    ci = self._ci
-                    if ci < len(bucket) and bucket[ci][0] == now:
-                        self._ci = ci + 1
-                        timer = bucket[ci][3]
-                        if timer._cancelled:
-                            timer._in_heap = False
-                            self._stale -= 1
-                            continue
-                        timer._in_heap = False
-                        self._live -= 1
-                        return timer
-                if now_q:
-                    timer = now_q.popleft()
-                    if timer._cancelled:
-                        timer._in_heap = False
-                        self._stale -= 1
-                        continue
-                    timer._in_heap = False
-                    self._live -= 1
-                    return timer
-                bucket = self._advance(until)
-                if bucket is None:
-                    return None
-                ci = self._ci
-                entry = bucket[ci]
-                self._ci = ci + 1
-                timer = entry[3]
-                if timer._cancelled:
-                    timer._in_heap = False
-                    self._stale -= 1
-                    continue
-                timer._in_heap = False
-                self._live -= 1
-                if entry[0] < now:
-                    raise SimulationError("time went backwards")
-                return timer
         heap = self._heap
+        limit = _END_OF_TIME if until is None else until
         while heap:
-            entry = heap[0]
+            entry = heappop(heap)
             timer = entry[3]
             if timer._cancelled:
-                heapq.heappop(heap)
                 timer._in_heap = False
                 self._stale -= 1
                 continue
             when = entry[0]
-            if until is not None and when > until:
+            if when > limit:
+                heappush(heap, entry)
                 return None
-            heapq.heappop(heap)
             timer._in_heap = False
             self._live -= 1
-            if when < self.now:
-                raise SimulationError("time went backwards")
+            if when != self.now:
+                if when < self.now:
+                    raise SimulationError("time went backwards")
+                self.now = when
             return timer
         return None
 
@@ -1156,7 +841,7 @@ class Simulator:
         return self._profiler is not None
 
     def run(self, until: Optional[int] = None) -> int:
-        """Process events until the queues drain or the clock passes
+        """Process events until the heap drains or the clock passes
         ``until``.  Returns the simulated time at which the run stopped.
         While it runs, :meth:`quiet_until` offers windows ending by
         ``until``.
@@ -1164,128 +849,57 @@ class Simulator:
         outer = self._run_end
         self._run_end = _END_OF_TIME if until is None else until + 1
         try:
+            if self._profiler is not None:
+                return self._run_profiled(until)
             return self._run_loop(until)
         finally:
             self._run_end = outer
 
     def _run_loop(self, until: Optional[int]) -> int:
-        """The body of :meth:`run`.
-
-        On the calendar path the loop drains whole buckets inline:
-        one sort orders a batch of same-epoch timers and dispatch walks
-        it with a cursor, touching the pop machinery only at bucket
-        boundaries; same-instant followups drain straight off the now
-        queue.
-        """
-        if self._profiler is not None:
-            return self._run_profiled(until)
+        """The body of :meth:`run`: :meth:`_pop_next` and the dispatch
+        inlined into one loop, with the elided-race hop inlined too."""
         step = self._step
-        if not self._calendar:
-            pop_next = self._pop_next
-            while True:
-                timer = pop_next(until)
-                if timer is None:
-                    break
-                self.now = timer.when
-                proc = timer.proc
-                if proc is not None:
-                    if timer.anyof is None:
-                        step(proc, timer.value, None)
-                    else:
-                        self._fire_elided(timer)
-                else:
-                    timer.callback()
-            if until is not None and until > self.now:
-                self.now = until
-            return self.now
-        now_q = self._now_q
-        buckets = self._buckets
-        n_buckets = self._N_BUCKETS
-        while True:
-            # 1) same-instant events, unless the current bucket still
-            #    holds (earlier-queued) entries at this timestamp
-            while now_q:
-                cb = self._cb
-                if cb < n_buckets:
-                    bucket = buckets[cb]
-                    ci = self._ci
-                    if ci < len(bucket) and bucket[ci][0] == self.now:
-                        self._ci = ci + 1
-                        timer = bucket[ci][3]
-                        if timer._cancelled:
-                            timer._in_heap = False
-                            self._stale -= 1
-                            continue
-                        timer._in_heap = False
-                        self._live -= 1
-                        proc = timer.proc
-                        if proc is not None:
-                            if timer.anyof is None:
-                                step(proc, timer.value, None)
-                            else:
-                                self._fire_elided(timer)
-                        else:
-                            timer.callback()
-                        continue
-                timer = now_q.popleft()
-                if timer._cancelled:
-                    timer._in_heap = False
-                    self._stale -= 1
-                    continue
+        heap = self._heap
+        limit = _END_OF_TIME if until is None else until
+        while heap:
+            entry = heappop(heap)
+            timer = entry[3]
+            if timer._cancelled:
                 timer._in_heap = False
-                self._live -= 1
-                proc = timer.proc
-                if proc is not None:
-                    if timer.anyof is None:
-                        step(proc, timer.value, None)
-                    else:
-                        self._fire_elided(timer)
-                else:
-                    timer.callback()
-            # 2) batch-drain the current bucket up to `until`
-            bucket = self._advance(until)
-            if bucket is None:
+                self._stale -= 1
+                continue
+            when = entry[0]
+            if when > limit:
+                heappush(heap, entry)
                 break
-            while True:
-                ci = self._ci
-                if ci >= len(bucket):
-                    break
-                entry = bucket[ci]
-                when = entry[0]
-                if until is not None and when > until:
-                    break
-                self._ci = ci + 1
-                timer = entry[3]
-                if timer._cancelled:
-                    timer._in_heap = False
-                    self._stale -= 1
-                    continue
-                timer._in_heap = False
-                self._live -= 1
+            timer._in_heap = False
+            self._live -= 1
+            if when != self.now:
                 if when < self.now:
                     raise SimulationError("time went backwards")
                 self.now = when
-                proc = timer.proc
-                if proc is not None:
-                    wakeup = timer.anyof
-                    if wakeup is None:
-                        step(proc, timer.value, None)
-                    else:
-                        # _fire_elided, inlined: re-queue the resume at
-                        # the fire time with a fresh sequence number
-                        race = timer.value
-                        if race is not None:
-                            race.drop(timer)
-                        timer.anyof = None
-                        timer.value = wakeup
-                        timer._in_heap = True
-                        self._seq += 1
-                        self._live += 1
-                        now_q.append(timer)
-                else:
-                    timer.callback()
-                if now_q:
-                    break
+            proc = timer.proc
+            if proc is not None:
+                wakeup = timer.anyof
+                if wakeup is None:
+                    step(proc, timer.value, None)
+                    continue
+                # _fire_elided, inlined: re-queue the resume at the fire
+                # time with a fresh sequence number
+                race = timer.value
+                if race is not None:
+                    race.drop(timer)
+                timer.anyof = None
+                timer.value = wakeup
+                timer._in_heap = True
+                seq = self._seq + 1
+                self._seq = seq
+                self._live += 1
+                heappush(
+                    heap, (when, 0 if self._fifo else self._tie_key(seq), seq, timer)
+                )
+            else:
+                timer.callback()
         if until is not None and until > self.now:
             self.now = until
         return self.now
@@ -1305,7 +919,6 @@ class Simulator:
             timer = pop_next(until)
             if timer is None:
                 break
-            self.now = timer.when
             proc = timer.proc
             start = clock()
             if proc is not None:
@@ -1341,22 +954,10 @@ class Simulator:
         timer = self._pop_next()
         if timer is None:
             return
-        self.now = timer.when
-        proc = timer.proc
         profiler = self._profiler
         if profiler is not None:
             start = profiler.clock()
-            if proc is not None:
-                if timer.anyof is None:
-                    self._step(proc, timer.value, None)
-                else:
-                    self._fire_elided(timer)
-            else:
-                timer.callback()
-            profiler.note(
-                timer, profiler.clock() - start, self._live + self._stale
-            )
-            return
+        proc = timer.proc
         if proc is not None:
             if timer.anyof is None:
                 self._step(proc, timer.value, None)
@@ -1364,6 +965,10 @@ class Simulator:
                 self._fire_elided(timer)
         else:
             timer.callback()
+        if profiler is not None:
+            profiler.note(
+                timer, profiler.clock() - start, self._live + self._stale
+            )
 
     @property
     def pending_events(self) -> int:

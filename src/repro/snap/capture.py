@@ -91,26 +91,6 @@ def _sum_heap(heap: List, seen: Set[int]) -> List:
     ]
 
 
-def _sum_buckets(buckets: List, seen: Set[int]) -> List:
-    # the calendar ring partitions the same (when, key, seq) order the
-    # heap holds; flattening and sorting yields the identical canonical
-    # form, so calendar and heap captures of the same queue state agree
-    entries = sorted(
-        (entry for bucket in buckets for entry in bucket),
-        key=lambda entry: entry[:3],
-    )
-    return [
-        [entry[0], entry[1], entry[2], canon(entry[3], seen)]
-        for entry in entries
-    ]
-
-
-def _sum_now_q(now_q: Any, seen: Set[int]) -> List:
-    # deque of bare timers at the current instant; append order is
-    # sequence order, which is already canonical
-    return [canon(timer, seen) for timer in now_q]
-
-
 def _sum_trace_lines(lines: List[str]) -> Dict[str, Any]:
     return {"n": len(lines), "sha": _sha16("\n".join(lines))}
 
@@ -139,8 +119,6 @@ def _sum_samples(samples: Dict, seen: Set[int]) -> Dict[str, Any]:
 
 _SUMMARIZERS: Dict[str, Callable[[Any, Set[int]], Any]] = {
     "repro.sim.engine:Simulator._heap": _sum_heap,
-    "repro.sim.engine:Simulator._buckets": _sum_buckets,
-    "repro.sim.engine:Simulator._now_q": _sum_now_q,
     "repro.sim.trace:Tracer.records": _sum_records,
     "repro.sim.trace:Tracer.spans": _sum_spans,
     "repro.sim.trace:Tracer._samples": _sum_samples,

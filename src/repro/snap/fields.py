@@ -56,23 +56,13 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
     "repro.sim.engine:Simulator": _spec(
         "now",
         "tie_break",
-        "scheduler",
         "_heap",
-        "_buckets",
-        "_now_q",
-        "_bucket_base",
-        "_bucket_width",
-        "_cb",
-        "_ci",
-        "_rebase_seq",
         "_seq",
         "_live",
         "_stale",
         "_live_processes",
         _fifo=DERIVED,
         _tie_key=DERIVED,
-        _calendar=DERIVED,
-        _bucket_span=DERIVED,
         _profiler=OBSERVER,
         _run_end="set only while run() is on the stack; None at every capture",
     ),

@@ -113,13 +113,24 @@ def test_run_until_done_sees_through_cancelled_timers():
         sim.run_until_done(proc)
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_compaction_mid_run_keeps_same_instant_timers(scheduler):
+#: The case ids name the two event queues this case ran on before the
+#: engine kept one; "calendar" now compacts at every chance (threshold
+#: 0), "heap" at the shipped threshold.
+@pytest.mark.parametrize(
+    "compact_min",
+    [
+        pytest.param(0, id="calendar"),
+        pytest.param(Simulator._COMPACT_MIN, id="heap"),
+    ],
+)
+def test_compaction_mid_run_keeps_same_instant_timers(compact_min):
     # two processes race already-fired events at t=0, cancelling one
     # delay each, so compaction triggers inside run() while the other
-    # process's resume hop waits in the now queue; every resume must
-    # still run
-    sim = Simulator(scheduler=scheduler)
+    # process's resume hop is queued at the same instant; run() holds
+    # the heap in a local, so the rebuild must happen in place or that
+    # resume is stranded
+    sim = Simulator()
+    sim._COMPACT_MIN = compact_min
     n_races = 2 * Simulator._COMPACT_MIN
     values = []
 
@@ -135,3 +146,45 @@ def test_compaction_mid_run_keeps_same_instant_timers(scheduler):
     sim.run()
     assert values == [(name, i) for i in range(n_races) for name in "ab"]
     assert sim.pending_events == 0 and sim._stale == 0
+
+
+def test_same_instant_hops_keep_the_clock_object():
+    # ``now + 0`` is a fresh int: rebinding the clock on a same-instant
+    # dispatch would hand every later timestamp its own copy.  Zero
+    # delays, zero-delay callbacks and AnyOf resume hops (elided and
+    # event-racing) at a nonzero instant must leave sim.now the very
+    # object it was when they were queued
+    sim = Simulator()
+    seen = []
+
+    def check(before, what):
+        seen.append((what, sim.now is before))
+
+    def hopper():
+        yield Delay(10**9 + 7)
+        before = sim.now
+        yield Delay(0)
+        check(before, "delay")
+        before = sim.now
+        sim.schedule(0, lambda: check(before, "schedule"))
+        yield Delay(0)
+        before = sim.now
+        yield AnyOf([Delay(0), Delay(5)])
+        check(before, "elided")
+        before = sim.now
+        event = Event("fired")
+        event.fire()
+        yield AnyOf([Delay(5), event])
+        check(before, "event-race")
+        before = sim.now
+        event = Event("later")
+        sim.schedule(0, event.fire)
+        yield AnyOf([Delay(5), event])
+        check(before, "event-race-hop")
+
+    sim.spawn(hopper())
+    sim.run()
+    assert seen == [
+        (what, True)
+        for what in ("delay", "schedule", "elided", "event-race", "event-race-hop")
+    ]

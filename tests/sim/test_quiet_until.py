@@ -5,10 +5,10 @@ A host process retires work as one wait only when the wait ends before
 dispatches earlier.  Hypothesis generates programs of scheduled timers
 (some of which schedule more timers, zero delays included, when they
 fire), cancellations, ``run(until)`` calls and single ``run_one``
-steps, with delays long enough to overflow the calendar ring into the
-heap and run cutoffs that leave the calendar cursor ahead of the clock
-(the next insert rewinds it).  Every timer measures the bound when it
-fires.  On both schedulers and under permuted tie-breaks:
+steps, with delays from zero to milliseconds and run cutoffs that
+leave timers queued past the clock.  Every timer measures the bound
+when it fires.  Under every tie-break, with heap compaction at the
+shipped threshold and at every chance:
 
 * the bound is never later than the next timer the same run dispatched,
   nor than that run's ``until`` + 1;
@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
-#: short and long delays: the calendar's first epoch spans 262,144 ns,
-#: so the longest ones start in the overflow heap
+#: zero, short and long delays, so timers land both ahead of and
+#: behind ones already queued
 DELAYS = st.sampled_from([0, 0, 1, 2, 7, 64, 1_000, 5_000, 300_000, 2_000_000])
 OP = st.one_of(
     st.tuples(st.just("schedule"), DELAYS, st.lists(DELAYS, max_size=3)),
@@ -36,9 +36,9 @@ OP = st.one_of(
 )
 PROGRAM = st.lists(OP, max_size=30)
 
-#: a cutoff that leaves the cursor on a later bucket, then an insert
-#: behind it (the rewind), then an overflow pulled in by a rebase
-REWIND = [
+#: a cutoff between two queued timers, then inserts ahead of the one
+#: still queued, one of them far in the future
+CUTOFF = [
     ("schedule", 5_000, []),
     ("schedule", 64, [0, 1]),
     ("run", 100),
@@ -58,18 +58,23 @@ CANCELS = [
     ("run", None),
 ]
 
+#: (tie-break, compaction threshold).  The case ids name the two event
+#: queues these cases ran on before the engine kept one; the "calendar"
+#: cases now compact the heap at every chance (threshold 0), the "heap"
+#: cases at the shipped threshold.
 MODES = [
-    ("fifo", "calendar"),
-    ("fifo", "heap"),
-    ("lifo", "heap"),
-    ("seeded:7", "calendar"),
+    pytest.param("fifo", 0, id="fifo-calendar"),
+    pytest.param("fifo", Simulator._COMPACT_MIN, id="fifo-heap"),
+    pytest.param("lifo", Simulator._COMPACT_MIN, id="lifo-heap"),
+    pytest.param("seeded:7", 0, id="seeded:7-calendar"),
 ]
 
 
-def run_program(program, tie_break, scheduler):
+def run_program(program, tie_break, compact_min=Simulator._COMPACT_MIN):
     """Run ``program``; returns (log, run limits).  Each log entry is
     ``(run index or None, now, bound, live timer queued at now)``."""
-    sim = Simulator(tie_break=tie_break, scheduler=scheduler)
+    sim = Simulator(tie_break=tie_break)
+    sim._COMPACT_MIN = compact_min
     timers = []
     queued = {}  # timer index -> when, for live undispatched timers
     log = []
@@ -124,29 +129,29 @@ def check(log, limits):
                 break
 
 
-@pytest.mark.parametrize("tie_break,scheduler", MODES)
+@pytest.mark.parametrize("tie_break,compact_min", MODES)
 @settings(max_examples=150, deadline=None)
 @given(program=PROGRAM)
-@example(program=REWIND)
+@example(program=CUTOFF)
 @example(program=CANCELS)
-def test_bound_never_passes_a_dispatch(program, tie_break, scheduler):
-    check(*run_program(program, tie_break, scheduler))
+def test_bound_never_passes_a_dispatch(program, tie_break, compact_min):
+    check(*run_program(program, tie_break, compact_min))
 
 
-@pytest.mark.parametrize("tie_break,scheduler", MODES)
-def test_bound_reaches_the_next_timer(tie_break, scheduler):
+@pytest.mark.parametrize("tie_break,compact_min", MODES)
+def test_bound_reaches_the_next_timer(tie_break, compact_min):
     # with nothing else queued the window really opens: up to the next
     # timer, or to the run's until when that comes first
     log, _ = run_program(
         [("schedule", 0, []), ("schedule", 1_000, []), ("run", 600)],
         tie_break,
-        scheduler,
+        compact_min,
     )
     assert [entry[2] for entry in log] == [601]
     log, _ = run_program(
         [("schedule", 0, []), ("schedule", 1_000, []), ("run", None)],
         tie_break,
-        scheduler,
+        compact_min,
     )
     assert log[0][2] == 1_000
 

@@ -13,8 +13,7 @@ event listed twice), fire events directly and from inside other
 waiters' callbacks, race events fired at the instant their rival delay
 expires, wait on already-fired events, and run cancellation storms long
 enough to cross ``Simulator._COMPACT_MIN``.  Each program runs on the
-legacy engine and on the live engine under both schedulers; the stream
-of resumes ``(now, process, wakeup index, value)`` and the final
+legacy engine and on the live engine; the stream of resumes ``(now, process, wakeup index, value)`` and the final
 sequence counter must be identical.
 """
 
@@ -84,12 +83,9 @@ FIRED = [
 ]
 
 
-def run_program(mod, program, tie_break, scheduler=None):
+def run_program(mod, program, tie_break):
     """Run ``program`` on engine module ``mod``; returns (resumes, seq)."""
-    if scheduler is None:
-        sim = mod.Simulator(tie_break=tie_break)
-    else:
-        sim = mod.Simulator(tie_break=tie_break, scheduler=scheduler)
+    sim = mod.Simulator(tie_break=tie_break)
     events = [mod.Event(f"e{i}") for i in range(N_EVENTS)]
     log = []
     counter = [0]
@@ -167,8 +163,7 @@ TIE_BREAKS = ["fifo", "lifo", "seeded:7"]
 @example(program=STORMS + COLLISIONS[:1])
 def test_live_engine_matches_legacy(tie_break, program):
     expected = run_program(legacy_engine, program, tie_break)
-    for scheduler in ("calendar", "heap"):
-        assert run_program(live_engine, program, tie_break, scheduler) == expected
+    assert run_program(live_engine, program, tie_break) == expected
 
 
 def test_storm_examples_cross_the_compaction_threshold():
@@ -188,5 +183,5 @@ def test_storm_examples_cross_the_compaction_threshold():
         Delay=live_engine.Delay,
         AnyOf=live_engine.AnyOf,
     )
-    run_program(engine, STORMS, "fifo", "calendar")
+    run_program(engine, STORMS, "fifo")
     assert compactions
