@@ -18,6 +18,12 @@ root so the bench trajectory survives across PRs:
   events/sec: the coalesced run retires the same simulated work with
   ~``chunks``× fewer engine events, so its effective rate is the
   expanded run's event count over the coalesced run's wall time.
+* **audit** (schema 2): ``run_elastic_case("full")`` seed 0 at 60, 120
+  and 240 ms simulated, each in a fresh interpreter -- wall time, the
+  wall time spent in ``CoreGapAuditor.audit_schedule`` (called after
+  every lifecycle verb) and the process's peak RSS -- so the ledger
+  shows the audit's cost growing with the horizon; and the time to
+  build one ``SetAssociativeCache`` of the LLC's geometry.
 * **fig-6 cell macro** and **suite parallel** (schema-1 keys): one
   gapped CoreMark cell, and a subsweep at ``jobs=1`` vs ``jobs=4``;
   schema 2 adds the ``--jobs auto`` resolution for this host.
@@ -34,6 +40,7 @@ import gc
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -343,6 +350,91 @@ def test_lever_quiet_scan_window(monkeypatch):
     assert open_calls < closed_calls
     # noise floor only; the measured margin is well above it
     assert closed_s / open_s >= 1.05
+
+
+#: one elastic ``full`` case in a fresh interpreter: argv[1] is the
+#: horizon in ms; prints wall, audit wall, audit calls and peak RSS
+_ELASTIC_AUDIT_PROBE = """
+import json, resource, sys, time
+from repro.fleet.elastic import run_elastic_case
+from repro.security.audit import CoreGapAuditor
+
+audit = CoreGapAuditor.audit_schedule
+spent = [0.0, 0]
+
+def timed(auditor, tracer):
+    start = time.perf_counter()
+    try:
+        return audit(auditor, tracer)
+    finally:
+        spent[0] += time.perf_counter() - start
+        spent[1] += 1
+
+def peak_rss_mb():
+    # VmHWM restarts at exec; ru_maxrss keeps the forking parent's peak
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+CoreGapAuditor.audit_schedule = timed
+start = time.perf_counter()
+summary = run_elastic_case("full", duration_ns=int(sys.argv[1]) * 1_000_000, seed=0)
+wall = time.perf_counter() - start
+print(json.dumps({
+    "wall_seconds": round(wall, 4),
+    "audit_seconds": round(spent[0], 4),
+    "audit_calls": spent[1],
+    "peak_rss_mb": round(peak_rss_mb(), 1),
+    "audit_problems": len(summary["audit_problems"]),
+}))
+"""
+
+
+def test_elastic_audit_scaling():
+    """Elastic ``full`` at 1x, 2x and 4x the horizon.  The audit after
+    every verb reads the streaming monitor, so its cost no longer grows
+    with the spans stored so far.  (The run itself still grows faster
+    than the horizon: the wake-up thread keeps polling the completion
+    slots of every vCPU ever registered.)"""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    rows = {}
+    for horizon_ms in (60, 120, 240):
+        out = subprocess.run(
+            [sys.executable, "-c", _ELASTIC_AUDIT_PROBE, str(horizon_ms)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        rows[f"{horizon_ms}ms"] = json.loads(out.stdout.splitlines()[-1])
+    RESULTS.setdefault("audit", {})["elastic_full"] = {
+        "workload": 'run_elastic_case("full"), seed 0, fresh interpreter each',
+        **rows,
+        "wall_ratio_240_vs_60": round(
+            rows["240ms"]["wall_seconds"] / rows["60ms"]["wall_seconds"], 3
+        ),
+    }
+    assert all(row["audit_problems"] == 0 for row in rows.values())
+    # a rescan of every stored span per verb was 49% of the 240 ms run
+    longest = rows["240ms"]
+    assert longest["audit_seconds"] < 0.05 * longest["wall_seconds"]
+
+
+def test_llc_construction():
+    from repro.hw.cache import LLC_GEOMETRY, SetAssociativeCache
+
+    build_s = _best_of(lambda: SetAssociativeCache(LLC_GEOMETRY), repeats=5)
+    RESULTS.setdefault("audit", {})["llc_construction"] = {
+        "workload": "SetAssociativeCache(LLC_GEOMETRY), sparse sets",
+        "n_sets": LLC_GEOMETRY.n_sets,
+        "seconds": round(build_s, 6),
+    }
 
 
 def test_fig6_cell_wallclock():

@@ -419,9 +419,10 @@ class FleetController:
     def audit_transitions(self, server: BootedServer, what: str) -> None:
         """Core-gap audit after one transition; problems accumulate.
 
-        Runs the occupancy-window sharing audit over the spans closed
-        so far plus the residency audit over every core's uarch
-        structures, and cross-checks the hotplug transition log.
+        Reads the occupancy-window sharing the tenure monitor found in
+        the spans closed so far, runs the residency audit over every
+        core's uarch structures, and cross-checks the hotplug
+        transition log.
         (``CoreGapAuditor.audit`` would close all open spans — a
         mid-run mutation — so the two halves are called directly.)
         """

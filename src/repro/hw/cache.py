@@ -11,7 +11,10 @@ Two consumers:
   *core-private* cache is ever observed by a distrusting domain.
 
 The model is a true set-associative cache with LRU replacement; each
-line remembers the security domain that filled it.
+line remembers the security domain that filled it.  Sets are sparse: a
+set exists only from its first access until the next flush, so
+building, scrubbing and auditing a cache cost in proportion to the sets
+a run occupied, not to the geometry.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ class SetAssociativeCache:
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
-        self._sets: List[List[CacheLine]] = [
-            [] for _ in range(geometry.n_sets)
-        ]
+        #: set index -> its lines, for the sets accessed since the last
+        #: flush only
+        self._sets: Dict[int, List[CacheLine]] = {}
         self._tick = 0
         self.hits = 0
         self.misses = 0
@@ -89,7 +92,9 @@ class SetAssociativeCache:
         self._tick += 1
         set_index = self.geometry.set_index(addr)
         tag = self.geometry.tag(addr)
-        lines = self._sets[set_index]
+        lines = self._sets.get(set_index)
+        if lines is None:
+            lines = self._sets[set_index] = []
         for line in lines:
             if line.tag == tag:
                 line.last_touch = self._tick
@@ -109,47 +114,46 @@ class SetAssociativeCache:
         """Non-destructive presence check (a timing-attack primitive)."""
         set_index = self.geometry.set_index(addr)
         tag = self.geometry.tag(addr)
-        return any(line.tag == tag for line in self._sets[set_index])
+        return any(line.tag == tag for line in self._sets.get(set_index, ()))
 
     def flush(self) -> int:
-        """Invalidate everything; returns the number of lines dropped.
-
-        Runs on every flush-on-switch, usually over nearly empty sets,
-        so only the occupied sets are visited and cleared in place.
-        """
-        dropped = 0
-        for lines in filter(None, self._sets):
-            dropped += len(lines)
-            lines.clear()
+        """Invalidate everything; returns the number of lines dropped."""
+        dropped = self.filled_lines
+        self._sets.clear()
         return dropped
 
     def flush_domain(self, domain: SecurityDomain) -> int:
         """Invalidate only one domain's lines (selective flush)."""
         dropped = 0
-        for lines in self._sets:
+        for set_index, lines in list(self._sets.items()):
             keep = [l for l in lines if l.domain != domain]
             dropped += len(lines) - len(keep)
-            lines[:] = keep
+            if keep:
+                lines[:] = keep
+            else:
+                del self._sets[set_index]
         return dropped
 
     # -- inspection (used by the auditor and attacks) ----------------------
 
     def domains_present(self) -> Set[SecurityDomain]:
-        return {line.domain for lines in self._sets for line in lines}
+        return {
+            line.domain for lines in self._sets.values() for line in lines
+        }
 
     def set_occupancy(self, set_index: int) -> List[CacheLine]:
-        return list(self._sets[set_index])
+        return list(self._sets.get(set_index, ()))
 
     def occupancy_by_domain(self) -> Dict[SecurityDomain, int]:
         counts: Dict[SecurityDomain, int] = {}
-        for lines in self._sets:
+        for lines in self._sets.values():
             for line in lines:
                 counts[line.domain] = counts.get(line.domain, 0) + 1
         return counts
 
     @property
     def filled_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(map(len, self._sets.values()))
 
     def __repr__(self) -> str:
         g = self.geometry

@@ -83,7 +83,17 @@ def _detail_args(detail: Any) -> Dict[str, Any]:
 
 
 def export_trace(tracer: Tracer, label: str = "repro") -> Dict[str, Any]:
-    """Render ``tracer`` as a Chrome trace-event JSON object (a dict)."""
+    """Render ``tracer`` as a Chrome trace-event JSON object (a dict).
+
+    Needs a tracer that stored its spans and records: exporting an
+    untraced run raises rather than render an empty timeline.
+    """
+    if not tracer.enabled:
+        raise ValueError(
+            "export_trace needs a traced run (an untraced run stores no "
+            "spans or records): build the system with "
+            "SystemConfig(trace_schedules=True)"
+        )
     events: List[Dict[str, Any]] = []
 
     # -- track naming metadata ----------------------------------------

@@ -6,11 +6,13 @@ The paper's security argument (S3) reduces to two checkable properties:
 (b) from first to last instruction, only guest-trusted code (the
     monitor) runs on that core.
 
-The auditor consumes the tracer's execution spans -- the ground truth of
-which security domain occupied which core when -- and reports every
-violation: a pair of mutually distrusting domains that both executed on
-one physical core.  It also audits *residual microarchitectural state*:
-after a run, no core-private structure may hold a distrusting pair.
+The auditor reads the tracer's tenure monitor, which checks every
+execution span -- the ground truth of which security domain occupied
+which core when -- as it closes.  It reports every violation: a pair
+of mutually distrusting domains that both executed on one physical
+core, one inside the other's occupancy window.  It also audits
+*residual microarchitectural state*: after a run, no core-private
+structure may hold a distrusting pair.
 
 Run on shared-core schedules it reports exactly the sharing the paper
 calls leaking; on core-gapped schedules it must return clean.
@@ -18,7 +20,6 @@ calls leaking; on core-gapped schedules it must return clean.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -109,6 +110,9 @@ def audit_conservation(
     * CPU-time conservation: per core, the summed execution-span time
       cannot exceed the wall-clock window, and no span runs backwards
       or escapes the window.
+
+    The span checks read the tracer's tenure monitor, which sees every
+    span whether or not the spans are stored.
     """
     problems: List[str] = []
     counters = tracer.counters
@@ -121,57 +125,24 @@ def audit_conservation(
             f"exit counts unbalanced: exits_total={exits_total} but "
             f"sum(exit:*)={by_reason}"
         )
+    monitor = tracer.monitor
+    for core, (domain, start, end) in sorted(monitor.backwards.items()):
+        problems.append(
+            f"core {core}: span for {domain} runs backwards ({start}..{end})"
+        )
     wall = end_ns - start_ns
-    busy: Dict[int, int] = {}
-    for span in tracer.spans:
-        if span.end < span.start:
+    for core, (first, last, busy_ns) in monitor.core_windows().items():
+        if first < start_ns or last > end_ns:
             problems.append(
-                f"core {span.core}: span for {span.domain} runs "
-                f"backwards ({span.start}..{span.end})"
+                f"core {core}: spans escape the window ({first}..{last} "
+                f"vs {start_ns}..{end_ns})"
             )
-            continue
-        if span.start < start_ns or span.end > end_ns:
-            problems.append(
-                f"core {span.core}: span for {span.domain} escapes the "
-                f"window ({span.start}..{span.end} vs {start_ns}..{end_ns})"
-            )
-        busy[span.core] = busy.get(span.core, 0) + (span.end - span.start)
-    for core, busy_ns in sorted(busy.items()):
         if busy_ns > wall:
             problems.append(
                 f"core {core}: {busy_ns} ns of execution in a "
                 f"{wall} ns window"
             )
     return problems
-
-
-def _split_tenures(
-    spans: List[Tuple[int, int]], boundaries: Iterable[int]
-) -> List[Tuple[int, int]]:
-    """Partition one domain's (start, end) spans on a core into tenure
-    windows, cut at scrubbed unbind times.
-
-    A span belongs to the tenure that was live when it started; the
-    window of each tenure is [min start, max end] over its spans.  With
-    no boundaries this degenerates to the single occupancy window the
-    audit always used.
-    """
-    cuts = sorted(boundaries)
-    if not cuts:
-        first = min(start for start, _ in spans)
-        last = max(end for _, end in spans)
-        return [(first, last)]
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for start, end in spans:
-        index = bisect.bisect_right(cuts, start)
-        groups.setdefault(index, []).append((start, end))
-    return [
-        (
-            min(start for start, _ in group),
-            max(end for _, end in group),
-        )
-        for _, group in sorted(groups.items())
-    ]
 
 
 class CoreGapAuditor:
@@ -211,10 +182,11 @@ class CoreGapAuditor:
         The paper's invariant (S3): from the *first to the last
         instruction* of a vCPU on its core, only guest-trusted code may
         run there.  So two distrusting domains violate the invariant on
-        a core iff their occupancy windows [first span, last span]
-        overlap -- a host that ran only *before* dedication, or a realm
-        that reused a core after another realm was destroyed (and its
-        state scrubbed; see the residency audit), is legitimate.
+        a core iff a span of one falls inside the other's occupancy
+        window [first span, last span] -- a host that ran only *before*
+        dedication, or a realm that reused a core after another realm
+        was destroyed (and its state scrubbed; see the residency
+        audit), is legitimate.
 
         A monitor-mediated unbind or rebind (autoscaler shrink/park,
         evacuation) *ends* the realm's tenure on its core: the core is
@@ -223,57 +195,33 @@ class CoreGapAuditor:
         records each such scrubbed ownership change as a tenure cut
         (:meth:`~repro.sim.trace.Tracer.tenure_cut`), so host spans
         between two tenures of one realm are not violations.
+
+        The windows are checked as the spans close, by the tracer's
+        :class:`~repro.sim.tenure.TenureMonitor`, over the whole run so
+        far and whether or not spans are stored; this call only keeps
+        the sharings where a guest owner distrusts the other domain,
+        one per core and domain pair.
         """
         violations: List[SharingViolation] = []
-        spans_by_core: Dict[int, List] = {}
-        for span in tracer.spans:
-            spans_by_core.setdefault(span.core, []).append(span)
-        # tenure boundaries: (core, domain) -> scrubbed handoff times
-        unbinds: Dict[Tuple[int, str], List[int]] = {}
-        for cut in getattr(tracer, "tenure_cuts", []):
-            unbinds.setdefault((cut.core, cut.domain), []).append(cut.time)
         seen_pairs = set()
-        for core in sorted(spans_by_core):
-            windows: Dict[str, List[Tuple[int, int]]] = {}
-            for span in spans_by_core[core]:
-                windows.setdefault(span.domain, []).append(
-                    (span.start, span.end)
-                )
-            for name, owned in windows.items():
-                owner = self._resolve(name)
-                if not (owner.is_realm or owner.name.startswith("vm:")):
-                    # the invariant is stated for guests: their occupancy
-                    # window must be exclusive.  The host's occupancy
-                    # legitimately has gaps (hotplug off -> realm
-                    # lifetime -> hotplug on), so it is not a window.
-                    continue
-                tenures = _split_tenures(
-                    owned, unbinds.get((core, name), ())
-                )
-                for span in spans_by_core[core]:
-                    if span.domain == name:
-                        continue
-                    other = self._resolve(span.domain)
-                    if not owner.distrusts(other):
-                        continue
-                    # a foreign span strictly inside one of the owner's
-                    # tenure windows is the leak
-                    for first, last in tenures:
-                        if span.start < last and span.end > first:
-                            key = (core, *sorted((name, span.domain)))
-                            if key in seen_pairs:
-                                break
-                            seen_pairs.add(key)
-                            violations.append(
-                                SharingViolation(
-                                    core,
-                                    name,
-                                    span.domain,
-                                    first,
-                                    span.start,
-                                )
-                            )
-                            break
+        found = sorted(tracer.monitor.sharing, key=lambda share: share[0])
+        for core, name, other_name, first, start in found:
+            owner = self._resolve(name)
+            if not (owner.is_realm or owner.name.startswith("vm:")):
+                # the invariant is stated for guests: their occupancy
+                # window must be exclusive.  The host's occupancy
+                # legitimately has gaps (hotplug off -> realm
+                # lifetime -> hotplug on), so it is not a window.
+                continue
+            if not owner.distrusts(self._resolve(other_name)):
+                continue
+            key = (core, *sorted((name, other_name)))
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            violations.append(
+                SharingViolation(core, name, other_name, first, start)
+            )
         return violations
 
     # ------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Trace recording for simulated schedules.
 
-The security auditor (``repro.security.audit``) consumes these traces to
-prove the core-gap invariant; the experiment harnesses use the counters
-for exit accounting (Table 4) and CPU-time conservation checks.
+Every closed execution span and tenure cut feeds the tracer's
+:class:`~repro.sim.tenure.TenureMonitor`, traced or not; the security
+auditor (``repro.security.audit``) reads the core-gap invariant and the
+CPU-time totals from it.  The spans themselves are stored only when
+tracing is on.  The experiment harnesses use the counters for exit
+accounting (Table 4).
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from .engine import SimulationError
+from .tenure import TenureMonitor
 
 __all__ = ["TraceRecord", "Tracer", "ExecutionSpan"]
 
@@ -43,8 +49,10 @@ class ExecutionSpan:
 class Tracer:
     """Records trace events, execution spans, named counters and gauges.
 
-    ``enabled=False`` keeps only the counters, so the large macro
-    benchmarks do not pay the cost of storing full schedules.
+    ``enabled=False`` keeps only the counters and the tenure monitor,
+    so the large macro benchmarks do not pay the cost of storing full
+    schedules: :attr:`spans`, :attr:`records` and :attr:`tenure_cuts`
+    stay empty, and the span queries that need them raise.
 
     Two record-producing entry points with different contracts:
 
@@ -66,12 +74,13 @@ class Tracer:
         #: of the sanitizer digest
         self.gauges: Dict[str, float] = {}
         self._open_spans: Dict[int, Tuple[str, int]] = {}
+        #: checks every closed span and tenure cut, traced or not
+        self.monitor = TenureMonitor()
         self.spans: List[ExecutionSpan] = []
         #: (time, core, domain) marks where a scrubbed ownership change
-        #: ended a domain's tenure on a core (monitor unbind/rebind).
-        #: Always recorded -- the core-gap auditor needs them to split
-        #: occupancy windows even when record storage is disabled --
-        #: and, like gauges, never part of the sanitizer digest.
+        #: ended a domain's tenure on a core (monitor unbind/rebind);
+        #: stored when enabled and, like gauges, never part of the
+        #: sanitizer digest
         self.tenure_cuts: List[TraceRecord] = []
         self._samples: Dict[str, List[float]] = defaultdict(list)
 
@@ -106,10 +115,13 @@ class Tracer:
 
     def tenure_cut(self, time: int, core: int, domain: str) -> None:
         """Mark a scrubbed ownership change: ``domain``'s tenure on
-        ``core`` ends now.  Recorded regardless of ``enabled``."""
-        self.tenure_cuts.append(
-            TraceRecord(time, "tenure-cut", core, domain, None)
-        )
+        ``core`` ends now.  The monitor sees it regardless of
+        ``enabled``."""
+        self.monitor.cut(time, core, domain)
+        if self.enabled:
+            self.tenure_cuts.append(
+                TraceRecord(time, "tenure-cut", core, domain, None)
+            )
 
     def sample(self, name: str, value: float) -> None:
         """Record one scalar observation (latency, size, ...)."""
@@ -137,7 +149,11 @@ class Tracer:
             return
         domain, start = open_span
         if time > start:
-            self.spans.append(ExecutionSpan(core, domain, start, time))
+            self.monitor.span(core, domain, start, time)
+            if self.enabled:
+                self.spans.append(ExecutionSpan(core, domain, start, time))
+        elif time < start:
+            self.monitor.backwards_span(core, domain, start, time)
 
     def insert_span(self, core: int, domain: str, start: int, end: int) -> None:
         """Record a closed span directly, keeping end-time order.
@@ -151,6 +167,11 @@ class Tracer:
         dropped, matching :meth:`end_span`.
         """
         if end <= start:
+            if end < start:
+                self.monitor.backwards_span(core, domain, start, end)
+            return
+        self.monitor.span(core, domain, start, end)
+        if not self.enabled:
             return
         spans = self.spans
         if not spans or spans[-1].end <= end:
@@ -165,24 +186,28 @@ class Tracer:
 
     # -- queries ----------------------------------------------------------
 
+    def _stored_spans(self, query: str) -> List[ExecutionSpan]:
+        if not self.enabled:
+            raise SimulationError(
+                f"Tracer.{query} reads stored spans, and an untraced "
+                "run stores none: build the system with "
+                "SystemConfig(trace_schedules=True)"
+            )
+        return self.spans
+
     def spans_on_core(self, core: int) -> Iterator[ExecutionSpan]:
-        return (s for s in self.spans if s.core == core)
+        spans = self._stored_spans("spans_on_core")
+        return (s for s in spans if s.core == core)
 
     def domains_on_core(self, core: int) -> List[str]:
         """Distinct domains that ever executed on ``core``, in order."""
         seen: List[str] = []
-        for span in self.spans_on_core(core):
-            if span.domain not in seen:
+        for span in self._stored_spans("domains_on_core"):
+            if span.core == core and span.domain not in seen:
                 seen.append(span.domain)
         return seen
 
     def busy_time(self, core: Optional[int] = None, domain: Optional[str] = None) -> int:
-        """Total span time, filtered by core and/or domain."""
-        total = 0
-        for span in self.spans:
-            if core is not None and span.core != core:
-                continue
-            if domain is not None and span.domain != domain:
-                continue
-            total += span.duration
-        return total
+        """Total span time, filtered by core and/or domain (from the
+        monitor's totals, so untraced runs answer too)."""
+        return self.monitor.busy_time(core, domain)

@@ -105,6 +105,8 @@ def _sum_records(records: List, seen: Set[int]) -> Dict[str, Any]:
 
 
 def _sum_spans(spans: List, seen: Set[int]) -> Dict[str, Any]:
+    # empty when untraced: the run's spans are then covered by the
+    # captured Tracer.monitor (per-core totals, tenures, sharings)
     return _sum_trace_lines(
         [f"{s.core}|{s.domain}|{s.start}|{s.end}" for s in spans]
     )

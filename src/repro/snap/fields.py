@@ -103,7 +103,22 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
         "gauges",
         "tenure_cuts",
         "_open_spans",
+        "monitor",
         "_samples",
+    ),
+    "repro.sim.tenure:TenureMonitor": _spec(
+        "_cores",
+        "_cuts",
+        "sharing",
+        "backwards",
+    ),
+    "repro.sim.tenure:_CoreLog": _spec(
+        "first",
+        "last",
+        "prev",
+        "busy",
+        "tenures",
+        "found",
     ),
     "repro.sim.sync:Notify": _spec(
         "name",
@@ -177,6 +192,7 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
         "total_penalty_paid",
         costs=STATIC,
     ),
+    # _sets is sparse: only the sets accessed since the last flush
     "repro.hw.cache:SetAssociativeCache": _spec(
         "geometry", "_sets", "_tick", "hits", "misses"
     ),

@@ -55,10 +55,11 @@ def _run(system, duration_ns):
 
 
 class TestDigestIdentity:
-    def test_probe_digests_bit_identical(self):
+    def test_probe_digests_bit_identical(self, span_log):
         expanded = run_probe(
             seed=0, n_cores=3, duration_ms=15, trace_schedules=False
         )
+        expanded_spans = span_log.runs()
         coalesced = run_probe(
             seed=0,
             n_cores=3,
@@ -67,6 +68,9 @@ class TestDigestIdentity:
             coalesce_compute=True,
         )
         assert diff_digests(expanded, coalesced) == []
+        # untraced digests carry no spans: compare the checked ones
+        coalesced_spans = span_log.runs()[len(expanded_spans):]
+        assert expanded_spans and coalesced_spans == expanded_spans
 
     def test_coalescing_actually_engages(self):
         # the identity above is vacuous if coalescing silently refused:
@@ -78,7 +82,7 @@ class TestDigestIdentity:
         assert coalesced.sim.pending_events <= expanded.sim.pending_events
         assert coalesced.sim._seq < expanded.sim._seq
 
-    def test_cutoff_mid_span_settles_identically(self):
+    def test_cutoff_mid_span_settles_identically(self, span_log):
         # cut at a time that is aligned to no chunk boundary, so the
         # coalesced run must synthesize completed chunks and re-open
         # the partial one exactly where the expansion was suspended
@@ -92,7 +96,8 @@ class TestDigestIdentity:
         coa_sys, coa_vm, coa_stats = systems[True]
         assert coa_sys.sim.now == exp_sys.sim.now
         assert coa_stats.chunks_completed == exp_stats.chunks_completed
-        assert coa_sys.tracer.spans == exp_sys.tracer.spans
+        assert span_log.spans(exp_sys.tracer)
+        assert span_log.spans(coa_sys.tracer) == span_log.spans(exp_sys.tracer)
         assert coa_sys.tracer.counters == exp_sys.tracer.counters
         for coa_core, exp_core in zip(
             coa_sys.machine.cores, exp_sys.machine.cores
@@ -144,7 +149,7 @@ class TestTransparentDecoalescing:
         assert machine.coalesce_inhibit == 0
         assert machine.coalesce_allowed()
 
-    def test_armed_injector_run_matches_expanded_run(self):
+    def test_armed_injector_run_matches_expanded_run(self, span_log):
         # with an injector armed, the coalesce knob must be fully
         # inert: the run dispatches exactly the expanded event count
         # and lands in exactly the expanded state
@@ -160,5 +165,7 @@ class TestTransparentDecoalescing:
         _run(inhibited, ms(60))
         _run(expanded, ms(60))
         assert inhibited.sim._seq == expanded.sim._seq
-        assert inhibited.tracer.spans == expanded.tracer.spans
+        assert span_log.spans(inhibited.tracer) == span_log.spans(
+            expanded.tracer
+        )
         assert inh_stats.chunks_completed == exp_stats.chunks_completed

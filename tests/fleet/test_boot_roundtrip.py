@@ -17,7 +17,7 @@ from repro.guest.workloads import CoremarkStats, coremark_workload_factory
 from repro.lint.sanitizer import RunDigest, diff_digests
 from repro.sim.clock import ms
 
-CONFIG = SystemConfig(mode="gapped", n_cores=6, seed=11)
+CONFIG = SystemConfig(mode="gapped", n_cores=6, seed=11, trace_schedules=True)
 N_VCPUS = 4
 DURATION_NS = ms(20)
 

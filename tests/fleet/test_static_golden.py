@@ -7,8 +7,14 @@ to the pre-redesign code: same counters, same completion totals, same
 simulated end time on every server.  This golden was generated from the
 pre-redesign tree (``REPRO_REGEN_GOLDEN=1`` rewrites it; the diff is
 then a reviewable artifact, exactly like the policy-probe golden).
+
+The golden was recorded untraced, when untraced runs still stored their
+spans.  They no longer do, so the spans hash comes from a second run of
+the scenario with ``trace_schedules=True``, which must agree with the
+untraced run on everything else the golden pins.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,14 +26,19 @@ from repro.sim.clock import ms
 GOLDEN = Path(__file__).parent / "golden" / "static_boot.json"
 
 
-def _scenario():
-    return consolidation_scenario(
+def _scenario(trace=False):
+    spec = consolidation_scenario(
         level=2,
         mode="gapped",
         n_servers=2,
         duration_ns=ms(30),
         seed=7,
     )
+    servers = tuple(
+        dataclasses.replace(config, trace_schedules=trace)
+        for config in spec.servers
+    )
+    return dataclasses.replace(spec, servers=servers)
 
 
 def _sha256(lines) -> str:
@@ -65,8 +76,8 @@ def _server_digest(server, tenants) -> dict:
     }
 
 
-def _run() -> dict:
-    spec = _scenario()
+def _run(trace=False) -> dict:
+    spec = _scenario(trace)
     fleet = spec.boot()
     result = fleet.run()
     return {
@@ -75,9 +86,22 @@ def _run() -> dict:
     }
 
 
+def _digests() -> dict:
+    digests = _run()
+    traced = _run(trace=True)
+    for key, digest in digests.items():
+        assert digest["spans_sha256"] == _sha256([])  # none stored
+        for field in ("counters", "end_ns", "tenants"):
+            assert traced[key][field] == digest[field], (
+                f"{key}: tracing moved {field}"
+            )
+        digest["spans_sha256"] = traced[key]["spans_sha256"]
+    return digests
+
+
 class TestStaticBootGolden:
     def test_static_boot_matches_pre_redesign_golden(self):
-        digests = _run()
+        digests = _digests()
         if os.environ.get("REPRO_REGEN_GOLDEN"):
             GOLDEN.parent.mkdir(parents=True, exist_ok=True)
             GOLDEN.write_text(

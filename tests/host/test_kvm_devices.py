@@ -16,9 +16,15 @@ from repro.host.virtio import IoRequest
 from repro.sim.clock import ms, us
 
 
-def run_vm(mode, factory, n_vcpus=2, duration=ms(50), devices=(), n_cores=4):
+def run_vm(
+    mode, factory, n_vcpus=2, duration=ms(50), devices=(), n_cores=4,
+    trace=False,
+):
     system = System(
-        SystemConfig(mode=mode, n_cores=n_cores, housekeeping=None)
+        SystemConfig(
+            mode=mode, n_cores=n_cores, housekeeping=None,
+            trace_schedules=trace,
+        )
     )
     vm = GuestVm("t", n_vcpus, factory)
     kvm = system.launch(vm)
@@ -204,8 +210,14 @@ class TestConservation:
 
             return body()
 
-        system, vm, kvm = run_vm("gapped", factory, duration=ms(30))
+        system, vm, kvm = run_vm("gapped", factory, duration=ms(30), trace=True)
         system.finish()
         wall = system.sim.now
+        tracer = system.tracer
         for core in system.machine.cores:
-            assert system.tracer.busy_time(core=core.index) <= wall
+            busy = tracer.busy_time(core=core.index)
+            assert busy <= wall
+            # the monitor's total is the stored spans' sum
+            assert busy == sum(
+                s.duration for s in tracer.spans_on_core(core.index)
+            )

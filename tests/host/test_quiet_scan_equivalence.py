@@ -5,7 +5,8 @@ The wake-up thread asks for its completion-slot polls as
 that ends before :meth:`Simulator.quiet_until` as one wait.  These tests
 force the window shut by pinning the bound to ``sim.now`` -- from here,
 so ``src/`` carries no knob -- and require the two runs to be
-indistinguishable: canonical digest, the full span list, ``sim._seq``,
+indistinguishable: canonical digest, the full list of spans the tenure
+monitor checked (stored or not), ``sim._seq``,
 per-core busy time and refill debts, the notifier's counters and the
 canonical state capture, across tie-breaks, schedule tracing, heap
 compaction thresholds and armed fault plans.  Each comparison also
@@ -129,6 +130,7 @@ def _run_in_slices(system, duration_ns):
             (
                 system.sim._seq,
                 len(system.tracer.spans),
+                system.tracer.monitor.core_windows(),
                 tuple(core.busy_ns for core in system.machine.cores),
             )
         )
@@ -156,11 +158,14 @@ CELLS = {
 }
 
 
-def _system_state(system):
+def _system_state(system, span_log):
     notifier = system.notifier
+    spans = span_log.spans(system.tracer)
+    if system.tracer.enabled:
+        assert spans == system.tracer.spans
     return {
         "seq": system.sim._seq,
-        "spans": list(system.tracer.spans),
+        "spans": spans,
         "busy": [core.busy_ns for core in system.machine.cores],
         "debts": [
             sorted(
@@ -180,7 +185,7 @@ def _system_state(system):
     }
 
 
-def _run(monkeypatch, cell, window, tie_break="fifo", trace=False,
+def _run(monkeypatch, span_log, cell, window, tie_break="fifo", trace=False,
          compact_min=Simulator._COMPACT_MIN, **kwargs):
     """Run one cell with every System it builds forced onto the given
     engine settings; returns (digest, per-system states, execute calls,
@@ -219,13 +224,13 @@ def _run(monkeypatch, cell, window, tie_break="fifo", trace=False,
         if not window:
             patch.setattr(Simulator, "quiet_until", lambda sim: sim.now)
         result = CELLS[cell](**kwargs)
-        states = [_system_state(system) for system in systems]
+        states = [_system_state(system, span_log) for system in systems]
     return canonical_digest(result), states, calls[0], compactions[0]
 
 
-def _assert_equivalent(monkeypatch, cell, **kwargs):
-    closed = _run(monkeypatch, cell, window=False, **kwargs)
-    opened = _run(monkeypatch, cell, window=True, **kwargs)
+def _assert_equivalent(monkeypatch, span_log, cell, **kwargs):
+    closed = _run(monkeypatch, span_log, cell, window=False, **kwargs)
+    opened = _run(monkeypatch, span_log, cell, window=True, **kwargs)
     assert opened[0] == closed[0], "canonical digest moved"
     assert len(opened[1]) == len(closed[1])
     for on, off in zip(opened[1], closed[1]):
@@ -252,10 +257,11 @@ COMPACTION = [
 @pytest.mark.parametrize("tie_break", ["fifo", "lifo", "seeded:7"])
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_window_matches_slot_by_slot(
-    monkeypatch, cell, tie_break, compact_min, trace
+    monkeypatch, span_log, cell, tie_break, compact_min, trace
 ):
     closed, opened = _assert_equivalent(
-        monkeypatch, cell, tie_break=tie_break, compact_min=compact_min,
+        monkeypatch, span_log, cell, tie_break=tie_break,
+        compact_min=compact_min,
         trace=trace,
     )
     if compact_min == 0 and cell != "relay":
@@ -284,8 +290,8 @@ FAULT_PLANS = [
 
 
 @pytest.mark.parametrize("plan", FAULT_PLANS, ids=lambda plan: plan.name)
-def test_window_matches_under_fault_plans(monkeypatch, plan):
+def test_window_matches_under_fault_plans(monkeypatch, span_log, plan):
     # the injector draws from its own rng streams at the sites it
     # hooks; any shift in when or how often a site is reached would
     # desynchronize those draws and show up in the comparison
-    _assert_equivalent(monkeypatch, "coremark", plan=plan)
+    _assert_equivalent(monkeypatch, span_log, "coremark", plan=plan)

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.config import SystemConfig
 from repro.experiments.workbench import build_system
 from repro.guest.vm import GuestVm
@@ -118,9 +120,8 @@ class TestEndToEnd:
         ]
         assert realm_slices
 
-    def test_disabled_tracer_exports_empty_timeline(self):
+    def test_disabled_tracer_export_names_trace_schedules(self):
         tracer = Tracer(enabled=False)
         tracer.event(10, "sgi.send", detail={"flow": 1})
-        trace = export_trace(tracer)
-        phases = {e["ph"] for e in trace["traceEvents"]}
-        assert phases <= {"M"}  # metadata only, no timeline events
+        with pytest.raises(ValueError, match="trace_schedules=True"):
+            export_trace(tracer)

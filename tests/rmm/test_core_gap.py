@@ -35,7 +35,12 @@ def launch(system, name="vm0", n_vcpus=2):
 
 @pytest.fixture
 def system():
-    return System(SystemConfig(mode="gapped", n_cores=6, housekeeping=None))
+    # traced: the never-return check reads the stored spans per core
+    return System(
+        SystemConfig(
+            mode="gapped", n_cores=6, housekeeping=None, trace_schedules=True
+        )
+    )
 
 
 class TestBinding:
