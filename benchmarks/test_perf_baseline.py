@@ -13,11 +13,7 @@ root so the bench trajectory survives across PRs:
   races vs the frozen engine, with the collector's pass and freed-object
   counts of each), quiescent-window scan coalescing on the exit-storm
   cell (wake-up slot polls as one wait vs one per poll, with
-  ``PhysicalCore.execute`` call counts), and compute-span coalescing vs the
-  per-chunk expansion.  Coalescing is scored in *legacy-equivalent*
-  events/sec: the coalesced run retires the same simulated work with
-  ~``chunks``× fewer engine events, so its effective rate is the
-  expanded run's event count over the coalesced run's wall time.
+  ``PhysicalCore.execute`` call counts).
 * **audit** (schema 2): ``run_elastic_case("full")`` seed 0 at 60, 120
   and 240 ms simulated, each in a fresh interpreter -- wall time, the
   wall time spent in ``CoreGapAuditor.audit_schedule`` (called after
@@ -155,37 +151,6 @@ def _run_unbatched(sim):
     return sim.now
 
 
-def _span_workload(mod, coalesced, n_procs=8, n_spans=60, chunks=32):
-    """The compute-span shape: each span is ``chunks`` identical fixed
-    delays racing a never-firing doorbell (exactly what
-    ``PhysicalCore.execute`` queues per chunk).  ``coalesced=True``
-    queues each span as ONE such race, the event-stream effect of
-    ``execute_span``.  Returns (scheduled_events, end_time): end times
-    must agree between the two forms — same simulated outcome.
-    """
-    sim = mod.Simulator()
-    chunk_ns = 500
-
-    def worker(i):
-        for _ in range(n_spans):
-            if coalesced:
-                wakeup = yield mod.AnyOf(
-                    [mod.Delay(chunk_ns * chunks), mod.Delay(10**12)]
-                )
-                assert wakeup.index == 0
-            else:
-                for _ in range(chunks):
-                    wakeup = yield mod.AnyOf(
-                        [mod.Delay(chunk_ns), mod.Delay(10**12)]
-                    )
-                    assert wakeup.index == 0
-
-    for i in range(n_procs):
-        sim.spawn(worker(i), name=f"s{i}")
-    sim.run()
-    return sim._seq, sim.now
-
-
 # ---------------------------------------------------------------------------
 # engine: headline + per-lever breakdown
 
@@ -236,40 +201,6 @@ def test_lever_batched_vs_unbatched_dispatch():
     assert n_events <= total._seq
     # noise floor (measured margin is well above parity)
     assert unbatched_s / batched_s >= 0.85
-
-
-def test_lever_coalescing_effective_rate():
-    expanded_events, expanded_end = _span_workload(live_engine, False)
-    coalesced_events, coalesced_end = _span_workload(live_engine, True)
-    assert coalesced_end == expanded_end  # same simulated outcome
-    assert coalesced_events < expanded_events
-
-    legacy_s = _best_of(lambda: _span_workload(_legacy_engine, False))
-    expanded_s = _best_of(lambda: _span_workload(live_engine, False))
-    coalesced_s = _best_of(lambda: _span_workload(live_engine, True))
-
-    legacy_rate = expanded_events / legacy_s
-    effective_rate = expanded_events / coalesced_s
-    overall = legacy_s / coalesced_s
-    RESULTS.setdefault("levers", {})["coalescing"] = {
-        "expanded_events": expanded_events,
-        "coalesced_events": coalesced_events,
-        "event_reduction": round(expanded_events / coalesced_events, 2),
-        "events_per_sec_expanded": round(expanded_events / expanded_s),
-        "events_per_sec_effective": round(effective_rate),
-        "coalesced_vs_expanded_speedup": round(expanded_s / coalesced_s, 3),
-    }
-    RESULTS["levers"]["overall"] = {
-        "workload": "compute-span shape, legacy-equivalent events/sec",
-        "events_per_sec_legacy": round(legacy_rate),
-        "events_per_sec_coalesced_effective": round(effective_rate),
-        "speedup_vs_legacy": round(overall, 2),
-    }
-    # the PR's acceptance target: >=10x legacy events/sec on the span
-    # workload, raw dispatch and event elision multiplied together
-    assert overall >= 10.0, (
-        f"effective speedup vs legacy below target: {overall:.2f}x"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -484,71 +415,3 @@ def test_suite_parallel_speedup():
         assert 1 <= auto_jobs <= min(cpus, len(cells))
     if cpus >= 4:
         assert speedup >= 2.0, f"parallel speedup collapsed: {speedup:.2f}x"
-
-
-def test_snapshot_fork_vs_reboot():
-    """Fork one booted rack into N variants vs N from-scratch boots.
-
-    The boot prefix (realm build, REC binding, device attach, client
-    wiring) is what ``fork_map`` amortizes; the serve phase is paid
-    either way.  Recorded as boot-amortization speedup: (boot+serve)*N
-    from scratch vs boot once + N copy-on-write forks.
-    """
-    from repro.experiments.config import SystemConfig
-    from repro.fleet import ScenarioSpec, boot_server, place, redis_tenant, uniform_rack
-    from repro.snap import can_fork, fork_map
-
-    if not can_fork():
-        RESULTS["snap"] = {"note": "os.fork unavailable; not measured"}
-        pytest.skip("os.fork unavailable on this platform")
-
-    spec = ScenarioSpec(
-        servers=uniform_rack(1, SystemConfig(mode="gapped", n_cores=8), seed=1),
-        tenants=(
-            redis_tenant("acme", n_vcpus=3, rate_rps=6000.0),
-            redis_tenant("bravo", n_vcpus=3, rate_rps=4000.0),
-        ),
-        duration_ns=int(ms(10)),
-        seed=1,
-    )
-    n_variants = 4
-    serve_ns = [int(ms(2)) * (i + 1) for i in range(n_variants)]
-
-    def boot():
-        server = boot_server(spec, place(spec), 0)
-        for client in server.clients:
-            client.start(spec.duration_ns)
-        return server
-
-    def reboot_all():
-        digests = []
-        for duration in serve_ns:
-            server = boot()
-            server.system.run_for(duration)
-            digests.append(server.system.state_digest())
-        return digests
-
-    def fork_all():
-        server = boot()
-
-        def variant(duration):
-            server.system.run_for(duration)
-            return server.system.state_digest()
-
-        return fork_map(serve_ns, variant)
-
-    assert fork_all() == reboot_all()  # warm-up doubles as correctness
-
-    reboot_s = _best_of(reboot_all, repeats=3)
-    fork_s = _best_of(fork_all, repeats=3)
-    speedup = reboot_s / fork_s
-    RESULTS["snap"] = {
-        "variants": n_variants,
-        "reboot_seconds": round(reboot_s, 4),
-        "fork_seconds": round(fork_s, 4),
-        "fork_vs_reboot_speedup": round(speedup, 3),
-    }
-    # forking must at least not cost more than rebooting; the real
-    # margin scales with boot cost, which is modest at this size, so
-    # the floor is deliberately loose against CI scheduler noise
-    assert speedup >= 1.0, f"fork slower than reboot: {speedup:.3f}x"

@@ -193,7 +193,7 @@ def _finite_coremark_vcpu(
     stats: CoremarkStats, index: int, chunks: int, chunk_ns: int
 ):
     for _ in range(chunks):
-        yield Compute(chunk_ns, mem_fraction=0.35)
+        yield Compute(chunk_ns)
         stats.note_chunk(index)
 
 
@@ -249,7 +249,6 @@ def run_chaos_case(
     injector.attach_gic(system.machine.gic)
     injector.attach_kernel(system.kernel)
     injector.attach_notifier(system.notifier)
-    injector.attach_machine(system.machine)
 
     # hardening on, uniformly -- the control plan doubles as a check
     # that the hardened paths do not disturb the fault-free run

@@ -48,13 +48,9 @@ class SystemConfig:
     tie_break: str = "fifo"
     #: retired: no longer settable and read by nothing.  Kept only
     #: because recorded result digests embed every field of an embedded
-    #: SystemConfig; drop it when those digests are next re-recorded.
+    #: SystemConfig; drop them when those digests are next re-recorded.
     scheduler: str = field(default="calendar", init=False)
-    #: model long uniform compute phases as one interruptible span
-    #: instead of per-chunk delays.  Digest-identical to the expansion
-    #: whenever nothing needs mid-span visibility; spans de-coalesce
-    #: transparently when tracing/faults/profiling do.
-    coalesce_compute: bool = False
+    coalesce_compute: bool = field(default=False, init=False)
     #: isolation policy ("core-gap" | "flush" | "none"); None derives
     #: the policy the mode always implied (gapped -> core-gap,
     #: shared-cvm -> flush, shared -> none), which is bit-identical to

@@ -56,7 +56,6 @@ class System:
             tracer=Tracer(enabled=config.trace_schedules),
             rng=RngFactory(config.seed),
         )
-        self.machine.coalesce_compute = config.coalesce_compute
         self.sim = self.machine.sim
         self.tracer = self.machine.tracer
         self.kernel = HostKernel(self.machine, costs)
@@ -321,7 +320,7 @@ class System:
         return capture_digest(self.capture_state(extra))
 
     def finish(self) -> None:
-        self.machine.finish_tracing()
+        self.tracer.close_all_spans(self.sim.now)
         self._harvest_gauges()
 
     def _harvest_gauges(self) -> None:

@@ -18,7 +18,11 @@ from typing import Dict
 from ..costs import CostModel, DEFAULT_COSTS
 from ..guest.actions import Compute, MmioWrite
 from ..guest.vm import GuestVm
-from ..guest.workloads.coremark import CoremarkStats, DEFAULT_CHUNK_NS
+from ..guest.workloads.coremark import (
+    CoremarkStats,
+    DEFAULT_CHUNK_NS,
+    coremark_workload_factory,
+)
 from ..guest.vcpu import VTIMER_VIRQ
 from ..host.virtio import IoRequest
 from ..sim.clock import ms, sec, us
@@ -49,26 +53,21 @@ class Table4Result:
 
 def _coremark_with_console(stats: CoremarkStats, device: str):
     """CoreMark plus a periodic console write on vCPU 0."""
+    plain = coremark_workload_factory(stats)
 
     def factory(vm: GuestVm, index: int):
         if index == 0:
             return _console_vcpu(stats, index, device)
-        return _plain_vcpu(stats, index)
+        return plain(vm, index)
 
     return factory
-
-
-def _plain_vcpu(stats: CoremarkStats, index: int):
-    while True:
-        yield Compute(DEFAULT_CHUNK_NS, mem_fraction=0.35)
-        stats.note_chunk(index)
 
 
 def _console_vcpu(stats: CoremarkStats, index: int, device: str):
     chunks_per_console = max(1, CONSOLE_PERIOD_NS // DEFAULT_CHUNK_NS)
     count = 0
     while True:
-        yield Compute(DEFAULT_CHUNK_NS, mem_fraction=0.35)
+        yield Compute(DEFAULT_CHUNK_NS)
         stats.note_chunk(index)
         count += 1
         if count % chunks_per_console == 0:

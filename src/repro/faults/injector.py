@@ -183,21 +183,6 @@ class FaultInjector:
                 total += spec.delay_ns
         return total
 
-    def attach_machine(self, machine) -> None:
-        """Force per-chunk compute while this injector is armed.
-
-        Faults must land between chunks at the exact instants the
-        uncoalesced schedule would produce, so an armed injector
-        inhibits compute-span coalescing machine-wide; ``detach_all``
-        lifts the inhibit along with the hooks.
-        """
-        machine.coalesce_inhibit += 1
-        self._attached.append(
-            lambda: setattr(
-                machine, "coalesce_inhibit", machine.coalesce_inhibit - 1
-            )
-        )
-
     def attach_engine(self, engine) -> None:
         """Arm dedicated-core stalls.  Call *after* cores are dedicated
         (e.g. after ``System.launch``): the stall is armed on the spec's

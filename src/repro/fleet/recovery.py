@@ -158,7 +158,6 @@ def build_recoverable_server(
         injector.attach_gic(system.machine.gic)
         injector.attach_kernel(system.kernel)
         injector.attach_notifier(system.notifier)
-        injector.attach_machine(system.machine)
         for kvm in system.kvms:
             for port in kvm.ports.values():
                 injector.attach_port(port)

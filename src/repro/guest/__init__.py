@@ -2,7 +2,6 @@
 
 from .actions import (
     Compute,
-    ComputeSpan,
     DeviceDoorbell,
     MmioRead,
     MmioWrite,
@@ -17,7 +16,6 @@ from .vm import GuestVm
 
 __all__ = [
     "Compute",
-    "ComputeSpan",
     "DeviceDoorbell",
     "GuestVcpu",
     "GuestVm",

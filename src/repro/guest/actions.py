@@ -26,11 +26,10 @@ it completed; positive when an interrupt preempted it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = [
     "Compute",
-    "ComputeSpan",
     "SetTimer",
     "SendIpi",
     "MmioRead",
@@ -68,32 +67,6 @@ class Compute:
     """Run ``work_ns`` of guest computation."""
 
     work_ns: int
-    #: memory-bound fraction, used to apply memory-encryption overhead
-    mem_fraction: float = 0.3
-
-
-@dataclass
-class ComputeSpan:
-    """Run ``n_chunks`` identical interruptible compute chunks.
-
-    The semantic twin of yielding ``Compute(chunk_ns)`` ``n_chunks``
-    times with ``on_chunk()`` called after each completed chunk — that
-    expansion is exactly what the vCPU runtime falls back to whenever
-    anything needs per-chunk visibility (tracing, profiling, armed
-    fault injection, pending virqs).  When nothing does, the driver may
-    *coalesce* the whole span into a single interruptible wait and
-    synthesize the per-chunk accounting arithmetically; results are
-    digest-identical either way.  Workloads with long uniform compute
-    phases (CoreMark batches, kernel-build steps) emit this instead of
-    chunk-at-a-time ``Compute`` so the engine can skip thousands of
-    identical wakeups.
-    """
-
-    chunk_ns: int
-    n_chunks: int
-    mem_fraction: float = 0.3
-    #: credited once per completed chunk (workload progress accounting)
-    on_chunk: Optional[Any] = None
 
 
 @dataclass

@@ -26,7 +26,6 @@ from ..costs import CostModel, DEFAULT_COSTS
 from ..hw.gic import VTIMER_PPI
 from .actions import (
     Compute,
-    ComputeSpan,
     DeviceDoorbell,
     MmioRead,
     MmioWrite,
@@ -68,10 +67,6 @@ class GuestVcpu:
         self.costs = costs
         self.enable_tick = enable_tick
         self._workload = workload
-        #: set by the driver (dedicated-core loop) when its machine can
-        #: coalesce compute spans; ``None`` (shared-core KVM, tests)
-        #: means spans always expand to per-chunk ``Compute`` yields
-        self.coalesce_allowed: Optional[Any] = None
         self.pending_virqs: Deque[InjectedVirq] = deque()
         #: I/O event counters: (device, kind) -> arrived count
         self.io_events: Dict[Tuple[str, str], int] = {}
@@ -128,12 +123,12 @@ class GuestVcpu:
 
     def _perform(self, action):
         """Execute one workload action, delivering virqs at boundaries."""
-        yield from self._deliver_virqs()
+        # guarded: this runs once per compute chunk, and an empty
+        # delivery would still build and drain a generator
+        if self.pending_virqs:
+            yield from self._deliver_virqs()
         if isinstance(action, Compute):
             yield from self._interruptible_compute(action.work_ns)
-            return None
-        if isinstance(action, ComputeSpan):
-            yield from self._span_compute(action)
             return None
         if isinstance(action, WaitIo):
             # events are cumulative, so a completion that landed before
@@ -160,66 +155,6 @@ class GuestVcpu:
         yield from self._deliver_virqs()
         return result
 
-    def _span_compute(self, action: ComputeSpan):
-        """Drive one :class:`ComputeSpan`, coalesced when permitted.
-
-        The expansion branch is digest-identical to the workload having
-        yielded ``Compute(chunk_ns)`` per chunk (same events, same
-        accounting); the coalesced branch forwards the span to the
-        driver, which answers ``(done_chunks, remaining_ns)`` — or
-        ``None`` to refuse (a core-level condition wants per-chunk
-        execution), which costs no simulated time.  Completed chunks
-        are credited driver-side through the closure (so a run cut off
-        mid-span still credits them, exactly as the expansion would
-        have); the partially-done chunk is finished here per-chunk,
-        since its interrupt may have changed what is permitted.
-        """
-        chunk = int(action.chunk_ns)
-        left = int(action.n_chunks)
-        on_chunk = action.on_chunk
-
-        def credit() -> None:
-            self.compute_ns_done += chunk
-            if on_chunk is not None:
-                on_chunk()
-
-        while left > 0:
-            allowed = self.coalesce_allowed
-            if allowed is None or not allowed() or self.pending_virqs:
-                resp = None
-            else:
-                resp = yield ComputeSpan(
-                    chunk, left, action.mem_fraction, credit
-                )
-            if resp is None:
-                # expand: the per-chunk path, chunk by chunk
-                while left > 0:
-                    yield from self._deliver_virqs()
-                    yield from self._interruptible_compute(chunk)
-                    if on_chunk is not None:
-                        on_chunk()
-                    left -= 1
-                return None
-            done, rem = resp
-            left -= done
-            if rem:
-                # a chunk is in flight (rem == chunk: interrupted at its
-                # entry, nothing retired yet); finish it per-chunk
-                if rem != chunk:
-                    self.compute_ns_done += chunk - rem
-                yield from self._deliver_virqs()
-                while rem > 0:
-                    before = rem
-                    rem = yield Compute(rem, action.mem_fraction)
-                    self.compute_ns_done += before - rem
-                    yield from self._deliver_virqs()
-                if on_chunk is not None:
-                    on_chunk()
-                left -= 1
-            else:
-                yield from self._deliver_virqs()
-        return None
-
     def _interruptible_compute(self, work_ns: int):
         """Compute that pays attention to virq delivery on preemption."""
         remaining = int(work_ns)
@@ -227,7 +162,8 @@ class GuestVcpu:
             before = remaining
             remaining = yield Compute(remaining)
             self.compute_ns_done += before - remaining
-            yield from self._deliver_virqs()
+            if self.pending_virqs:
+                yield from self._deliver_virqs()
         return None
 
     def _masked_compute(self, work_ns: int):

@@ -12,10 +12,10 @@ of wall time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator
 
 from ...sim.clock import us
-from ..actions import ComputeSpan
+from ..actions import Compute
 from ..vm import GuestVm
 
 __all__ = ["CoremarkStats", "coremark_workload_factory", "coremark_score"]
@@ -27,11 +27,6 @@ SCORE_PER_CORE_SECOND = 15_000.0
 
 #: one inner CoreMark kernel iteration batch
 DEFAULT_CHUNK_NS = us(500)
-
-#: chunks per emitted span -- long enough to amortize wakeups when the
-#: driver coalesces, short enough that the score updates steadily when
-#: it expands
-SPAN_CHUNKS = 32
 
 
 @dataclass
@@ -62,16 +57,9 @@ def coremark_workload_factory(
 def _coremark_vcpu(
     stats: CoremarkStats, index: int, chunk_ns: int
 ) -> Generator:
-    # spans instead of chunk-at-a-time Compute: the vCPU runtime expands
-    # them to the identical per-chunk schedule unless the machine can
-    # coalesce (repro.guest.actions.ComputeSpan)
-    def credit() -> None:
-        stats.note_chunk(index)
-
     while True:
-        yield ComputeSpan(
-            chunk_ns, SPAN_CHUNKS, mem_fraction=0.35, on_chunk=credit
-        )
+        yield Compute(chunk_ns)
+        stats.note_chunk(index)
 
 
 def coremark_score(

@@ -101,8 +101,7 @@ def _iozone_vcpu(
                     segment = min(MAX_SEGMENT, record - offset)
                     # guest block layer + driver work per request
                     yield Compute(
-                        costs.guest_virtio_driver_ns + segment // 4096 * 60,
-                        mem_fraction=0.5,
+                        costs.guest_virtio_driver_ns + segment // 4096 * 60
                     )
                     yield MmioWrite(
                         0x2000, device, request=IoRequest(op, segment)

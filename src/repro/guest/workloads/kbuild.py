@@ -101,7 +101,7 @@ def _make_job(
         )
         yield WaitIo(device, "complete", 1)
         # compile: CPU/memory heavy
-        yield Compute(config.compile_ns, mem_fraction=0.45)
+        yield Compute(config.compile_ns)
         # write the object file
         yield Compute(costs.guest_virtio_driver_ns)
         yield MmioWrite(
@@ -122,7 +122,7 @@ def _make_job(
                 request=IoRequest("blk_read", config.object_bytes),
             )
             yield WaitIo(device, "complete", 1)
-        yield Compute(config.link_ns, mem_fraction=0.55)
+        yield Compute(config.link_ns)
         yield Compute(costs.guest_virtio_driver_ns)
         yield MmioWrite(
             0x2000,

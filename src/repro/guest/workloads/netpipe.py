@@ -95,8 +95,7 @@ def _netpipe_vcpu(
             yield Compute(
                 costs.guest_netstack_ns
                 + costs.guest_virtio_driver_ns
-                + int(size / 1024 * 120),
-                mem_fraction=0.6,
+                + int(size / 1024 * 120)
             )
             request = _tx_request(size)
             if passthrough:
@@ -107,10 +106,7 @@ def _netpipe_vcpu(
             vm.device(device).rx_pop(index)
             # receive-side stack processing
             vm_device = None  # resolved lazily through the stats closure
-            yield Compute(
-                costs.guest_netstack_ns + int(size / 1024 * 120),
-                mem_fraction=0.6,
-            )
+            yield Compute(costs.guest_netstack_ns + int(size / 1024 * 120))
             if ping > 0:
                 stats.note(size, clock() - start)
 

@@ -36,18 +36,14 @@ class RedisOp:
     #: request / reply sizes on the wire (bytes)
     request_bytes: int
     reply_bytes: int
-    #: memory-bound fraction of the server work
-    mem_fraction: float = 0.3
 
 
 #: 512-byte objects, 50 clients -- the Table 5 configuration.
 #: Server costs calibrated to Redis v7 single-instance throughput on a
 #: 3 GHz core (SET ~52 krps shared-core, LRANGE-100 ~8x slower).
-OP_SET = RedisOp("SET", 16_400, 600, 60, mem_fraction=0.4)
-OP_GET = RedisOp("GET", 17_200, 80, 600, mem_fraction=0.4)
-OP_LRANGE_100 = RedisOp(
-    "LRANGE_100", 72_000, 90, 100 * 512 + 400, mem_fraction=0.8
-)
+OP_SET = RedisOp("SET", 16_400, 600, 60)
+OP_GET = RedisOp("GET", 17_200, 80, 600)
+OP_LRANGE_100 = RedisOp("LRANGE_100", 72_000, 90, 100 * 512 + 400)
 
 
 @dataclass
@@ -97,7 +93,7 @@ def redis_server_factory(
 
 def _background_vcpu() -> Generator:
     while True:
-        yield Compute(1_000_000, mem_fraction=0.2)
+        yield Compute(1_000_000)
 
 
 def _server_vcpu(
@@ -112,8 +108,8 @@ def _server_vcpu(
             continue
         op: RedisOp = request["op"]
         # network stack receive + command execution
-        yield Compute(costs.guest_netstack_ns // 2, mem_fraction=0.5)
-        yield Compute(op.server_ns, mem_fraction=op.mem_fraction)
+        yield Compute(costs.guest_netstack_ns // 2)
+        yield Compute(op.server_ns)
         reply = dict(request)
         yield DeviceDoorbell(
             device_name,

@@ -466,7 +466,7 @@ class HostKernel:
             if count > 1:
                 sim.reserve_seq(2 * count - 1)
                 yield Delay(work_ns * count)
-                core._synthesize_chunks(HOST_DOMAIN, start, 0, work_ns, count, None)
+                core._synthesize_chunks(HOST_DOMAIN, start, work_ns, count)
                 thread.cpu_ns += work_ns * count
                 thread.send_value = count
                 return "done"

@@ -54,12 +54,6 @@ class Machine:
         self.cores: List[PhysicalCore] = [
             PhysicalCore(self, i) for i in range(topology.n_cores)
         ]
-        #: opt-in: model long uniform compute as one interruptible span
-        #: (:meth:`PhysicalCore.execute_span`); set from SystemConfig
-        self.coalesce_compute: bool = False
-        #: count of attached observers that need per-chunk visibility
-        #: (armed fault injectors); any > 0 forces per-chunk expansion
-        self.coalesce_inhibit: int = 0
 
     @property
     def now(self) -> int:
@@ -74,35 +68,3 @@ class Machine:
 
     def online_cores(self) -> List[PhysicalCore]:
         return [c for c in self.cores if c.online]
-
-    def coalesce_allowed(self) -> bool:
-        """True when compute spans may be coalesced *right now*.
-
-        Tracing and profiling want to see each chunk individually; an
-        armed fault injector bumps ``coalesce_inhibit``.  The check is
-        re-evaluated per span, so toggling any condition mid-run
-        de-coalesces transparently from that point on.
-        """
-        return (
-            self.coalesce_compute
-            and self.coalesce_inhibit == 0
-            and not self.tracer.enabled
-            and not self.sim.profiling
-        )
-
-    def finish_tracing(self) -> None:
-        """Close all open execution spans at the current time."""
-        synthesized = False
-        for core in self.cores:
-            if core.finalize_span():
-                synthesized = True
-        if synthesized:
-            # close_all_spans flushes in dict order; synthesis re-opened
-            # spans in core order, whereas a live run's dict order is by
-            # span start (begin_span re-inserts at the end).  Restore
-            # that order so cutoff flushes stay digest-identical.
-            opens = self.tracer._open_spans
-            items = sorted(opens.items(), key=lambda kv: (kv[1][1], kv[0]))
-            opens.clear()
-            opens.update(items)
-        self.tracer.close_all_spans(self.sim.now)

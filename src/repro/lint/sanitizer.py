@@ -108,14 +108,12 @@ def _run_scenario(
     n_cores: int,
     duration_ms: int,
     trace_schedules: bool = True,
-    coalesce_compute: bool = False,
 ) -> RunDigest:
     config = SystemConfig(
         n_cores=n_cores,
         seed=seed,
         trace_schedules=trace_schedules,
         tie_break=tie_break,
-        coalesce_compute=coalesce_compute,
         **overrides,  # type: ignore[arg-type]
     )
     system = build_system(config, DEFAULT_COSTS)
@@ -163,22 +161,18 @@ def run_probe(
     n_cores: int = 4,
     duration_ms: int = 40,
     trace_schedules: bool = True,
-    coalesce_compute: bool = False,
 ) -> RunDigest:
     """Run all probe scenarios once and digest traces and metrics.
 
     ``trace_schedules=False`` runs with observability disabled — the
     digest then proves instrumentation is inert when off (the golden
     file under ``tests/obs/`` pins the pre-instrumentation bytes).
-    ``coalesce_compute`` selects the compute-span fast path, which is
-    digest-interchangeable with the per-chunk expansion by contract.
     """
     combined = RunDigest([], [], {}, {})
     for label, overrides in _PROBE_SCENARIOS:
         digest = _run_scenario(
             label, overrides, seed, tie_break, n_cores, duration_ms,
             trace_schedules=trace_schedules,
-            coalesce_compute=coalesce_compute,
         )
         combined.records.extend(digest.records)
         combined.spans.extend(digest.spans)

@@ -24,7 +24,6 @@ from typing import Dict, Optional
 from ..costs import CostModel
 from ..guest.actions import (
     Compute,
-    ComputeSpan,
     DeviceDoorbell,
     MmioRead,
     MmioWrite,
@@ -351,9 +350,6 @@ class DedicatedCore:
             self.bound_rec = rec
             self.guest_domain = realm.domain
             if rec.gen is None:
-                # dedicated cores can coalesce compute spans; give the
-                # runtime the machine-level gate to consult per span
-                rec.runtime.coalesce_allowed = self.core.machine.coalesce_allowed
                 rec.gen = rec.runtime.run()
         rec.state = RecState.RUNNING
         rec.enter_count += 1
@@ -462,40 +458,6 @@ class DedicatedCore:
                     to_send = result.remaining_ns
                 else:
                     to_send = 0
-
-            elif isinstance(action, ComputeSpan):
-                # refusal (None) costs no simulated time: the runtime
-                # falls back to its per-chunk expansion.  Conditions are
-                # rechecked here because they can change between the
-                # runtime's check and ours (zero-event hop or not).
-                if (
-                    not core.machine.coalesce_allowed()
-                    or action.n_chunks < 2
-                    or core.pollution.pending_penalty(self.guest_domain)
-                    > action.chunk_ns
-                ):
-                    continue
-                result = yield from core.execute_span(
-                    self.guest_domain,
-                    action.chunk_ns,
-                    action.n_chunks,
-                    action.on_chunk,
-                )
-                if result.status == ExecStatus.INTERRUPTED:
-                    yield from core.execute(
-                        MONITOR_DOMAIN,
-                        costs.rmm_intercept_ns,
-                        interruptible=False,
-                    )
-                    rec_exit = self._take_phys_irq(rec)
-                    if rec_exit is not None:
-                        rec.pending_send = (
-                            result.chunks_done, result.remaining_ns
-                        )
-                        return rec_exit
-                    to_send = (result.chunks_done, result.remaining_ns)
-                else:
-                    to_send = (result.chunks_done, 0)
 
             elif isinstance(action, SetTimer):
                 yield from core.execute(

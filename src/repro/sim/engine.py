@@ -833,13 +833,6 @@ class Simulator:
     def detach_profiler(self) -> None:
         self._profiler = None
 
-    @property
-    def profiling(self) -> bool:
-        """True while an engine profiler is attached (see
-        :meth:`attach_profiler`); consumers that would hide per-event
-        detail from it — e.g. compute-span coalescing — check this."""
-        return self._profiler is not None
-
     def run(self, until: Optional[int] = None) -> int:
         """Process events until the heap drains or the clock passes
         ``until``.  Returns the simulated time at which the run stopped.

@@ -158,12 +158,12 @@ class Tracer:
     def insert_span(self, core: int, domain: str, start: int, end: int) -> None:
         """Record a closed span directly, keeping end-time order.
 
-        ``end_span`` appends because real time only moves forward; span
-        coalescing (:meth:`repro.hw.core.PhysicalCore.execute_span`)
-        synthesizes past chunks retroactively, so their spans must be
-        placed where a live run would have appended them.  Within one
-        end time the new span goes after existing ones — the order a
-        same-instant append would have produced.  Zero-length spans are
+        ``end_span`` appends because real time only moves forward; the
+        host's quiescent window (:meth:`repro.hw.core.PhysicalCore.
+        _synthesize_chunks`) settles past chunks retroactively, so their
+        spans must be placed where a live run would have appended them.
+        Within one end time the new span goes after existing ones — the
+        order a same-instant append would have produced.  Zero-length spans are
         dropped, matching :meth:`end_span`.
         """
         if end <= start:

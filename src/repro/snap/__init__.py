@@ -1,6 +1,6 @@
 """repro.snap — versioned checkpoint/restore of a running ``System``.
 
-Three pieces (DESIGN.md §5.7):
+Two pieces (DESIGN.md §5.7):
 
 * :mod:`repro.snap.capture` — a read-only canonical capture of the
   full live state (engine heap and timers, clock, RNG stream
@@ -12,9 +12,6 @@ Three pieces (DESIGN.md §5.7):
 * :mod:`repro.snap.restore` — ``snapshot``/``restore`` built on
   deterministic re-execution, verified field-by-field against the
   stored capture (restores are bit-identical or they raise).
-* :mod:`repro.snap.fork` — ``os.fork``-based O(1) forking of one
-  booted system into N divergent futures, for sweeps and the
-  snapshot-fork benchmark.
 """
 
 from .capture import (
@@ -25,7 +22,6 @@ from .capture import (
     diff_captures,
 )
 from .fields import SNAP_FIELDS, CaptureSpec
-from .fork import ForkError, can_fork, fork_map
 from .format import (
     SNAP_FORMAT_VERSION,
     Recipe,
@@ -43,7 +39,6 @@ __all__ = [
     "Snapshot",
     "SnapshotError",
     "SnapshotDriftError",
-    "ForkError",
     "canon",
     "capture_object",
     "capture_system",
@@ -51,6 +46,4 @@ __all__ = [
     "diff_captures",
     "snapshot",
     "restore",
-    "can_fork",
-    "fork_map",
 ]

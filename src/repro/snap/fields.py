@@ -156,9 +156,7 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
         "llc",
         "memory",
         "cores",
-        "coalesce_compute",
         pollution_costs=STATIC,
-        coalesce_inhibit=HOOK,
     ),
     "repro.hw.core:PhysicalCore": _spec(
         "index",
@@ -168,7 +166,6 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
         "busy_ns",
         "uarch",
         "pollution",
-        "_active_span",
         machine=WIRING,
         sim=WIRING,
         tracer=WIRING,
@@ -485,7 +482,6 @@ SNAP_FIELDS: Dict[str, CaptureSpec] = {
         "_workload",
         vm=WIRING,
         costs=STATIC,
-        coalesce_allowed=HOOK,
     ),
     # -- composition roots ---------------------------------------------
     "repro.experiments.system:System": _spec(

@@ -111,7 +111,7 @@ class TestExecute:
 
         m.sim.spawn(proc())
         m.sim.run()
-        m.finish_tracing()
+        m.tracer.close_all_spans(m.now)
         assert m.tracer.busy_time(core=0, domain=REALM.name) == 5_000
         assert m.tracer.busy_time(core=1, domain=HOST_DOMAIN.name) == 3_000
 
